@@ -3,14 +3,13 @@
 Builds entanglement witnesses from permutation-indexed positive maps and a
 rotated rank-4 family, and decides states through four sufficient criteria:
 partial transpose, realignment, an entry-based permutation search, and a
-distillability certificate search. Includes a small self-contained complex
-Hermitian eigensolver so results do not depend on the installed LAPACK.
+distillability certificate search. Eigenvalues and singular values come
+from LAPACK through numpy.
 """
 
 __version__ = "0.1.0"
 
 from .numkit import (
-    EigensolverError,
     Spectrum,
     hermitian_eigenvalues,
     hermitian_eigensystem,

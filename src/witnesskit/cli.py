@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, numkit, selfcheck, states
+from . import __version__, selfcheck, states
 from .detection import (
     CCNR_TOL,
     DetectConfig,
@@ -357,7 +357,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except numkit.EigensolverError as exc:
+    except np.linalg.LinAlgError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (FormatError, DomainError) as exc:

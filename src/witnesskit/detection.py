@@ -178,7 +178,8 @@ def entry_value_indices(rho: DensityMatrix, k, h) -> float:
     sub = m[np.ix_(kp, kp)]
     tr = sub.trace()
     val = (n - 2) * tr + m[hp, hp].sum() - (sub.sum() - tr)
-    assert abs(val.imag) <= 1e-10, f"entry value has imaginary part {val.imag:.3e}"
+    if abs(val.imag) > 1e-10:
+        raise ValueError(f"entry value has imaginary part {val.imag:.3e}")
     return float(val.real)
 
 
@@ -209,7 +210,8 @@ def entry_value_perms(rho: DensityMatrix, n: int, pi: Permutation, sigma: Permut
     sub = m[np.ix_(p, p)]
     tr = sub.trace()
     val = (n - 2) * tr + m[q, q].sum() - (sub.sum() - tr)
-    assert abs(val.imag) <= 1e-10, f"entry value has imaginary part {val.imag:.3e}"
+    if abs(val.imag) > 1e-10:
+        raise ValueError(f"entry value has imaginary part {val.imag:.3e}")
     return float(val.real)
 
 
@@ -389,6 +391,8 @@ def pure_check(psi: PureState):
     """
     s = states.schmidt(psi)
     d1, d2 = float(s.values[0]), float(s.values[1])
+    # The SVD errs by at most max(dims) * eps * ||C||_F (~1e-15 on a unit C)
+    # per value, so a product state's d2 stays far below 1e-10.
     return d2 > 1e-10, -2.0 * d1 * d2
 
 
@@ -465,13 +469,20 @@ def distill_search(rho: DensityMatrix, restarts: int = 20, seed: int = 0):
     minimizer on 2 (x) 2, splittings of the most negative partial-transpose
     eigenvectors, then random pairs. Every iterate is scored by the full
     rotated value and the best is kept, so the output never degrades on a
-    good seed. The returned certificate is re-verified.
+    good seed. The returned certificate is re-verified. PPT input, on which
+    no rotated value can fire, returns None before any restart.
     """
     dh, dk = rho.dims.dim_h, rho.dims.dim_k
     Mh = reorder(rho, H_MAJOR).mat
     R4 = Mh.reshape(dh, dk, dh, dk)
     pt = states.partial_transpose_first(reorder(rho, H_MAJOR))
     pe_spec, pv = numkit.hermitian_eigensystem(0.5 * (pt + pt.conj().T))
+    # Every search value is 2 <phi| rho^Gamma |phi> >= 2 lambda_min for a unit
+    # phi. When that bound, less the eigensolver's error, stays above
+    # FIRE_TOL / 2, no restart can fire: the rounding in the search's own
+    # value (~order * eps) is far below the remaining FIRE_TOL / 2 margin.
+    if 2.0 * (pe_spec.min - pe_spec.tolerance) >= FIRE_TOL / 2:
+        return None
     pe = pe_spec.values  # descending
     rng = np.random.default_rng(seed)
     iters = 40

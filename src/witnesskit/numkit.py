@@ -1,12 +1,13 @@
 """Dense complex matrix helpers.
 
 Kronecker products, adjoints, Hermitian eigenvalues, singular values and the
-trace norm, all on plain ``numpy`` arrays (``complex128``). Eigenvalues go
-through the cyclic Jacobi solver implemented here rather than LAPACK so the
-numerical behavior -- tolerances, determinism, and the failure mode when the
-sweep cap is hit -- is fully owned by this module. At the matrix orders this
-package works with (state side at most a few hundred) Jacobi is plenty fast
-and unconditionally stable.
+trace norm, all on plain ``numpy`` arrays (``complex128``). Eigenvalues come
+from LAPACK through ``np.linalg.eigvalsh``/``eigh`` on the symmetrised input,
+singular values from ``np.linalg.svd`` on the matrix itself (never from the
+Gram matrix a^dagger a, whose rounding noise would turn a zero singular value
+into ~1e-8). This module owns the input checks (finite, square, Hermitian)
+and the descending order; a LAPACK failure surfaces as
+``np.linalg.LinAlgError``.
 
 Indices in user-facing arguments are 1-based throughout the package, matching
 the usual ket labeling |1>, |2>, ...; everything internal is 0-based numpy.
@@ -14,13 +15,11 @@ the usual ket labeling |1>, |2>, ...; everything internal is 0-based numpy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "EigensolverError",
     "Spectrum",
     "kron",
     "adjoint",
@@ -32,23 +31,12 @@ __all__ = [
     "trace_norm",
 ]
 
-#: convergence target for the Jacobi sweep, relative to the Frobenius norm
-JACOBI_TOL = 1e-12
-#: hard cap on full sweeps before giving up
-JACOBI_MAX_SWEEPS = 100
-
-
-class EigensolverError(RuntimeError):
-    """The Jacobi iteration hit its sweep cap before converging."""
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Real eigen- or singular values, sorted descending.
 
-    ``tolerance`` records the absolute accuracy target the values were
-    computed to (callers comparing against thresholds can take it into
-    account instead of guessing).
+    ``tolerance`` is an absolute error bound on each value (callers comparing
+    against thresholds can take it into account instead of guessing).
     """
 
     values: np.ndarray
@@ -107,75 +95,22 @@ def is_hermitian(a, tol) -> bool:
     return float(np.max(np.abs(m - m.conj().T))) <= tol
 
 
-def _jacobi(a: np.ndarray, want_vectors: bool, max_sweeps: int):
-    """Cyclic complex Jacobi diagonalization.
+def _error_bound(norm: float, order: int) -> float:
+    """Absolute error bound on each LAPACK eigen- or singular value.
 
-    Each rotation annihilates one off-diagonal pair (p, q) exactly; a sweep
-    visits all pairs in row order. Convergence is declared when the
-    off-diagonal Frobenius mass drops below JACOBI_TOL * ||a||. The
-    off-diagonal norm is summed directly -- computing it as
-    sqrt(||A||^2 - ||diag||^2) cancels catastrophically near convergence and
-    stalls around sqrt(eps) * ||a||.
+    The LAPACK Users' Guide (sections 4.7 and 4.9) bounds the error of every
+    computed eigenvalue of a Hermitian matrix, and of every singular value, by
+    p(n) * eps * ||a||_2 with p(n) a modestly growing function of the order;
+    taking p(n) = n and the Frobenius norm (>= ||a||_2) keeps the bound safe.
     """
-    A = np.array(a, dtype=complex)
-    m = A.shape[0]
-    norm = float(np.linalg.norm(A))
-    A = 0.5 * (A + A.conj().T)  # symmetrize rounding fuzz away
-    V = np.eye(m, dtype=complex) if want_vectors else None
-    if m == 1 or norm == 0.0:
-        vals = A.diagonal().real.copy()
-        return vals, V, norm
-
-    off_tol = JACOBI_TOL * norm
-    # rotations on entries already far below the target are wasted work
-    skip = off_tol / (10.0 * m)
-    for _ in range(max_sweeps):
-        B = np.abs(A) ** 2
-        np.fill_diagonal(B, 0.0)
-        if math.sqrt(B.sum()) <= off_tol:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = A[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                u = apq / r
-                tau = (A[q, q].real - A[p, p].real) / (2.0 * r)
-                if tau != 0.0:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                else:
-                    t = 1.0
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                su = s * u
-                suc = s * np.conj(u)
-                colp = A[:, p].copy()
-                colq = A[:, q].copy()
-                A[:, p] = c * colp - suc * colq
-                A[:, q] = su * colp + c * colq
-                rowp = A[p, :].copy()
-                rowq = A[q, :].copy()
-                A[p, :] = c * rowp - su * rowq
-                A[q, :] = suc * rowp + c * rowq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = A[p, p].real
-                A[q, q] = A[q, q].real
-                if want_vectors:
-                    vp = V[:, p].copy()
-                    vq = V[:, q].copy()
-                    V[:, p] = c * vp - suc * vq
-                    V[:, q] = su * vp + c * vq
-    else:
-        raise EigensolverError(
-            f"Jacobi iteration did not converge within {max_sweeps} sweeps "
-            f"(order {m}, off-diagonal target {off_tol:.3e})"
-        )
-    return A.diagonal().real.copy(), V, norm
+    return order * np.finfo(float).eps * norm
 
 
-def _check_hermitian_input(m: np.ndarray) -> float:
+def _hermitian_input(a):
+    """Checked square Hermitian input, symmetrised, and its Frobenius norm."""
+    m = _as_matrix(a)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got {m.shape}")
     norm = float(np.linalg.norm(m))
     defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     if defect > 1e-9 * max(norm, 1e-300):
@@ -183,52 +118,40 @@ def _check_hermitian_input(m: np.ndarray) -> float:
             f"matrix is not Hermitian: max |a - a^dagger| = {defect:.3e} "
             f"exceeds 1e-9 * ||a|| = {1e-9 * norm:.3e}"
         )
-    return norm
+    return 0.5 * (m + m.conj().T), norm
 
 
-def hermitian_eigenvalues(a, max_sweeps: int = JACOBI_MAX_SWEEPS) -> Spectrum:
+def hermitian_eigenvalues(a) -> Spectrum:
     """All eigenvalues of a Hermitian matrix, sorted descending.
 
-    Accuracy target is 1e-10 * ||a|| per value. Non-Hermitian input raises
-    ValueError; failure to converge raises EigensolverError.
+    Non-Hermitian input raises ValueError; a LAPACK failure raises
+    ``np.linalg.LinAlgError``.
     """
-    m = _as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got {m.shape}")
-    norm = _check_hermitian_input(m)
-    vals, _, _ = _jacobi(m, want_vectors=False, max_sweeps=max_sweeps)
-    order = np.argsort(-vals, kind="stable")
-    return Spectrum(vals[order], tolerance=1e-10 * norm)
+    m, norm = _hermitian_input(a)
+    vals = np.linalg.eigvalsh(m)[::-1]
+    return Spectrum(vals, tolerance=_error_bound(norm, m.shape[0]))
 
 
-def hermitian_eigensystem(a, max_sweeps: int = JACOBI_MAX_SWEEPS):
+def hermitian_eigensystem(a):
     """Like :func:`hermitian_eigenvalues` but also returns eigenvectors.
 
     Returns ``(spectrum, vectors)`` with the k-th column of ``vectors`` the
     unit eigenvector for ``spectrum.values[k]``.
     """
-    m = _as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got {m.shape}")
-    norm = _check_hermitian_input(m)
-    vals, vecs, _ = _jacobi(m, want_vectors=True, max_sweeps=max_sweeps)
-    order = np.argsort(-vals, kind="stable")
-    return Spectrum(vals[order], tolerance=1e-10 * norm), vecs[:, order]
+    m, norm = _hermitian_input(a)
+    vals, vecs = np.linalg.eigh(m)
+    return Spectrum(vals[::-1], tolerance=_error_bound(norm, m.shape[0])), vecs[:, ::-1]
 
 
 def singular_values(a) -> Spectrum:
-    """Singular values, descending, via the eigenvalues of a^dagger a.
+    """Singular values, descending, straight from the SVD of ``a``.
 
-    Eigenvalues of the Gram matrix that round slightly negative are clamped
-    to zero before the square root. Only values are produced (no vectors),
-    which is all the trace norm and Schmidt coefficients need.
+    Only values are produced (no vectors), which is all the trace norm and
+    Schmidt coefficients need.
     """
     m = _as_matrix(a)
-    gram = m.conj().T @ m
-    spec = hermitian_eigenvalues(gram)
-    vals = np.sqrt(np.clip(spec.values, 0.0, None))
-    k = min(m.shape)
-    return Spectrum(vals[:k], tolerance=math.sqrt(max(spec.tolerance, 0.0)))
+    vals = np.linalg.svd(m, compute_uv=False)
+    return Spectrum(vals, tolerance=_error_bound(float(np.linalg.norm(m)), max(m.shape)))
 
 
 def trace_norm(a) -> float:

@@ -397,7 +397,8 @@ def witness_value(w: Witness, rho: DensityMatrix) -> float:
         )
     m = reorder(rho, w.ordering).mat
     val = complex(np.einsum("ij,ji->", w.mat, m))
-    assert abs(val.imag) <= 1e-10, f"witness value has imaginary part {val.imag:.3e}"
+    if abs(val.imag) > 1e-10:
+        raise ValueError(f"witness value has imaginary part {val.imag:.3e}")
     return float(val.real)
 
 

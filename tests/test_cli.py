@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +115,37 @@ def test_detect_bad_field_exits_2(tmp_path, capsys):
 
 def test_detect_missing_file_exits_2(tmp_path):
     assert run(["detect", str(tmp_path / "nope.json")]) == 2
+
+
+def test_detect_numerical_failure_exits_3(e34_file, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    assert run(["detect", str(e34_file)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical failure:") and "Traceback" not in err
+
+
+def test_detect_output_independent_of_blas_threads(tmp_path):
+    from witnesskit import BipartiteDims, DensityMatrix, H_MAJOR, state_to_dict
+    rng = np.random.default_rng(55)
+    g = rng.standard_normal((25, 25)) + 1j * rng.standard_normal((25, 25))
+    m = g @ g.conj().T
+    state = tmp_path / "s55.json"
+    state.write_text(json.dumps(state_to_dict(
+        DensityMatrix(BipartiteDims(5, 5), H_MAJOR, m / np.trace(m).real))))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-m", "witnesskit.cli", "detect", str(state)],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        payload = json.loads(out)
+        payload.pop("timings_ms")
+        reports.append(payload)
+    assert reports[0] == reports[1]
 
 
 def test_detect_reads_stdin(e34_file, capsys, monkeypatch):

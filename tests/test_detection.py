@@ -33,6 +33,7 @@ from witnesskit import (
     witness_kps,
     witness_value,
 )
+from witnesskit import detection
 
 D22 = BipartiteDims(2, 2)
 D33 = BipartiteDims(3, 3)
@@ -136,6 +137,12 @@ def test_entry_value_requires_square_blocks():
     rho = _ginibre(BipartiteDims(2, 3), seed=5)
     with pytest.raises(ValueError):
         entry_value_indices(rho, (1, 4), (2, 3))
+
+
+def test_entry_value_rejects_complex_diagonal():
+    rho = DensityMatrix(D22, H_MAJOR, np.diag([0.25 + 1e-6j] * 4))
+    with pytest.raises(ValueError, match="imaginary part"):
+        entry_value_perms(rho, 2, Permutation.identity(2), Permutation((2, 1)))
 
 
 def test_entry_value_perms_rejects_clashes():
@@ -250,6 +257,17 @@ def test_pure_check_product_and_entangled():
     assert ent and abs(val + 1.0) < 1e-12
 
 
+def test_pure_check_silent_on_product_vectors():
+    rng = np.random.default_rng(41)
+    for dh, dk in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (2, 5), (5, 2), (7, 7)]:
+        for _ in range(5):
+            x = rng.standard_normal(dh) + 1j * rng.standard_normal(dh)
+            y = rng.standard_normal(dk) + 1j * rng.standard_normal(dk)
+            c = np.outer(x, y)
+            ent, _ = pure_check(PureState(BipartiteDims(dh, dk), c / np.linalg.norm(c)))
+            assert not ent
+
+
 def test_pure_check_matches_rotated_value():
     rng = np.random.default_rng(23)
     dims = BipartiteDims(3, 4)
@@ -283,6 +301,15 @@ def test_distill_silent_on_ppt_states():
     assert distill_search(example_35(*P35), restarts=5, seed=0) is None
     for seed in range(5):
         assert distill_search(random_separable(D22, 3, seed=seed), restarts=8, seed=0) is None
+
+
+def test_distill_skips_search_on_ppt_input(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("distill search ran on a PPT state")
+
+    monkeypatch.setattr(detection, "_rot_value", no_search)
+    assert distill_search(example_34(*P34), seed=0) is None
+    assert distill_search(random_separable(D33, 4, seed=0), seed=0) is None
 
 
 def test_distill_finds_noisy_pure_states():
@@ -333,6 +360,18 @@ def test_detect_separable():
     rep = detect(random_separable(D33, terms=4, seed=2))
     assert rep.verdict == "undetected" and rep.fired == ()
     assert rep.entry_best is None and rep.distill_best is None
+
+
+LOW_RANK_DIMS = [(d, d) for d in range(2, 8)] + [(2, k) for k in range(3, 8)] + [
+    (k, 2) for k in range(3, 8)]
+
+
+@pytest.mark.parametrize("dh,dk", LOW_RANK_DIMS)
+@pytest.mark.parametrize("terms", [1, 2])
+def test_detect_silent_on_low_rank_separables(dh, dk, terms):
+    for seed in range(3):
+        rep = detect(random_separable(BipartiteDims(dh, dk), terms, seed))
+        assert rep.verdict == "undetected", (seed, rep.fired, rep.ccnr_norm)
 
 
 def test_detect_respects_n_cap():

@@ -30,7 +30,7 @@ def test_eigenvalues_3x3_closed_form():
 
 
 def test_offdiagonal_pair_with_zero_diagonal():
-    # tau = 0 branch of the rotation: eigenvalues +/- 1
+    # equal diagonal entries: eigenvalues +/- 1
     spec = numkit.hermitian_eigenvalues(np.array([[0, -1], [-1, 0]], dtype=complex))
     np.testing.assert_allclose(spec.values, [1.0, -1.0], atol=1e-14)
 
@@ -95,6 +95,11 @@ def test_singular_values_of_rank_one():
     v = np.array([[1.0, 2.0, 2.0]]) / 3.0  # unit norm
     sv = numkit.singular_values(u @ v)
     np.testing.assert_allclose(sv.values, [5.0, 0.0], atol=1e-12)
+    # complex rank one: a Gram-matrix route returns sqrt(rounding) ~ 1e-8
+    rng = np.random.default_rng(24)
+    u = rng.standard_normal((7, 1)) + 1j * rng.standard_normal((7, 1))
+    v = rng.standard_normal((1, 5)) + 1j * rng.standard_normal((1, 5))
+    assert np.max(numkit.singular_values(u @ v).values[1:]) < 1e-13 * np.linalg.norm(u @ v)
 
 
 # ------------------------------------------------------------ small helpers
@@ -151,15 +156,9 @@ def test_rejects_non_matrix_input():
         numkit.hermitian_eigenvalues(np.ones(4))
 
 
-def test_sweep_cap_raises():
-    m = np.array([[0, -1], [-1, 0]], dtype=complex)
-    with pytest.raises(numkit.EigensolverError, match="did not converge"):
-        numkit.hermitian_eigenvalues(m, max_sweeps=0)
-
-
 def test_trivial_orders_skip_iteration():
-    # 1x1 and all-zero matrices return without running sweeps
+    # 1x1 and all-zero matrices come back exactly
     np.testing.assert_array_equal(
-        numkit.hermitian_eigenvalues(np.array([[4.0]]), max_sweeps=0).values, [4.0])
+        numkit.hermitian_eigenvalues(np.array([[4.0]])).values, [4.0])
     np.testing.assert_array_equal(
-        numkit.hermitian_eigenvalues(np.zeros((3, 3)), max_sweeps=0).values, np.zeros(3))
+        numkit.hermitian_eigenvalues(np.zeros((3, 3))).values, np.zeros(3))
