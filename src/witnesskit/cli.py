@@ -94,12 +94,12 @@ def _dims(text: str) -> BipartiteDims:
 # ----------------------------------------------------------------- detect
 
 def cmd_detect(args) -> int:
-    rho = states.state_from_dict(_load_json(args.state))
     seed = _resolve_seed(args.seed)
     config = DetectConfig(
         n_cap=args.n_cap, exact_max=args.exact_max,
         distill_restarts=args.restarts, seed=seed,
     )
+    rho = states.state_from_dict(_load_json(args.state))
     report = detect(rho, config)
     payload = report_to_dict(report)
     payload["version"] = __version__
@@ -307,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--n-cap", type=int, default=6, help="largest entry-search block (default 6)")
     d.add_argument("--exact-max", type=int, default=6,
                    help="exact enumeration up to this n, heuristic beyond (default 6)")
-    d.add_argument("--restarts", type=int, default=20, help="distill search restarts (default 20)")
+    d.add_argument("--restarts", type=int, default=20,
+                   help="distill search restarts, 1..1000 (default 20)")
     d.add_argument("--seed", type=int, default=None, help="search seed (default WITNESSKIT_SEED or 0)")
     d.add_argument("--format", choices=("json", "text"), default="json")
     d.add_argument("--out", default=None, help="output path (default stdout)")

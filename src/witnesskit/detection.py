@@ -10,7 +10,10 @@ Four criteria, each sufficient for entanglement and silent otherwise:
   certificate and the permutation witness realizing the same value.
 * ``distill_search`` -- looks for orthonormal pairs (x, z) in H and (y, w)
   in K making a rotated rank-4 witness negative; success additionally
-  certifies 1-distillability.
+  certifies 1-distillability. All restarts are refined together as one
+  stacked numpy batch; each seed follows its own trajectory and stopping
+  rule, so the batch finds what refining the seeds one by one would, up
+  to rounding.
 
 The searches are deterministic for a fixed seed. Certificates are always
 re-verified against the witness layer before being returned, so a returned
@@ -32,6 +35,7 @@ from .witnesses import Permutation, WitnessSpec, rotated_rank4_value
 
 __all__ = [
     "FIRE_TOL",
+    "MAX_RESTARTS",
     "PPT_TOL",
     "CCNR_TOL",
     "InfeasibleAssignmentError",
@@ -55,8 +59,16 @@ __all__ = [
 # A criterion fires only strictly below this, keeping eigensolver and
 # arithmetic noise from ever producing a false entanglement claim.
 FIRE_TOL = -1e-10
+# The distill search refines all its seeds as one stacked batch, so it
+# bounds the batch it allocates.
+MAX_RESTARTS = 1000
 PPT_TOL = -1e-9
 CCNR_TOL = 1e-9
+
+
+def _check_restarts(value, name):
+    if not isinstance(value, (int, np.integer)) or not 1 <= value <= MAX_RESTARTS:
+        raise ValueError(f"{name} must be an integer in 1..{MAX_RESTARTS}, got {value!r}")
 
 
 class InfeasibleAssignmentError(ValueError):
@@ -103,6 +115,9 @@ class DetectConfig:
     exact_max: int = 6       # exact enumeration up to here, heuristic beyond
     distill_restarts: int = 20
     seed: int = 0
+
+    def __post_init__(self):
+        _check_restarts(self.distill_restarts, "distill_restarts")
 
 
 @dataclass(frozen=True)
@@ -413,19 +428,6 @@ _MAGIC = np.array(
 )
 
 
-def _rot_value(Mh, x, z, y, w):
-    """rotated_rank4_value against an h_major matrix, no input checks."""
-    xw = np.kron(x, w)
-    zy = np.kron(z, y)
-    xy = np.kron(x, y)
-    zw = np.kron(z, w)
-    return float(
-        np.vdot(xw, Mh @ xw).real
-        + np.vdot(zy, Mh @ zy).real
-        - 2.0 * np.vdot(xy, Mh @ zw).real
-    )
-
-
 def _balanced_min_exact_2x2(Mh):
     """Exact minimum of the rotated value on 2 (x) 2, with its witness vector.
 
@@ -448,15 +450,83 @@ def _pairs_from_phi(phi, dh, dk):
     return U[:, 0].conj(), -U[:, 1].conj(), Vh[1, :].copy(), Vh[0, :].copy()
 
 
-def _lowdin_pair(a, b):
-    """Closest orthonormal pair to (a, b) (symmetric orthogonalization)."""
-    B = np.stack([a, b], axis=1)
-    G = B.conj().T @ B
-    vals, vecs = np.linalg.eigh(G)
+def _rot_values(Mh, X, Z, Y, W):
+    """rotated_rank4_value of S stacked pairs against an h_major matrix.
+
+    Rows of X, Z (S, dh) and Y, W (S, dk) form the pairs; no input checks.
+    """
+    S = X.shape[0]
+    xw = (X[:, :, None] * W[:, None, :]).reshape(S, -1)
+    zy = (Z[:, :, None] * Y[:, None, :]).reshape(S, -1)
+    xy = (X[:, :, None] * Y[:, None, :]).reshape(S, -1)
+    zw = (Z[:, :, None] * W[:, None, :]).reshape(S, -1)
+    # Row s of kets @ Mh.T is Mh applied to ket s.
+    img = np.concatenate([xw, zy, zw]) @ Mh.T
+    return (
+        np.einsum("si,si->s", xw.conj(), img[:S]).real
+        + np.einsum("si,si->s", zy.conj(), img[S:2 * S]).real
+        - 2.0 * np.einsum("si,si->s", xy.conj(), img[2 * S:]).real
+    )
+
+
+def _best_pairs(M):
+    """Per reduced matrix M_s, the orthonormal pair (p, q) aligned with its
+    top singular pair, phased so that p^H M_s q is real and nonnegative.
+
+    The top singular vectors are projected onto the closest orthonormal pair
+    (Loewdin: B (B^H B)^{-1/2}) through one batched eigh of the 2x2 Grams.
+    """
+    U, _, Vh = np.linalg.svd(M)
+    B = np.stack([U[:, :, 0], Vh[:, 0, :].conj()], axis=2)
+    vals, vecs = np.linalg.eigh(B.conj().transpose(0, 2, 1) @ B)
     vals = np.clip(vals, 1e-30, None)
-    Gi = vecs @ np.diag(vals ** -0.5) @ vecs.conj().T
+    Gi = (vecs * vals[:, None, :] ** -0.5) @ vecs.conj().transpose(0, 2, 1)
     Bo = B @ Gi
-    return Bo[:, 0], Bo[:, 1]
+    p, q = Bo[:, :, 0], Bo[:, :, 1]
+    c = np.einsum("si,sij,sj->s", p.conj(), M, q)
+    mag = np.abs(c)
+    phase = np.divide(c.conj(), mag, out=np.ones_like(c), where=mag > 1e-300)
+    return p, q * phase[:, None]
+
+
+def _refine_batch(Mh, X, Z, Y, W):
+    """Alternating maximization of the cross term from S stacked seeds.
+
+    Every seed follows its own trajectory: with (y, w) held the H-side pair
+    comes from the reduced matrix M = <y|rho|w>, then the K-side pair from
+    N = <x|rho|z>. A seed leaves the active set once its cross term
+    Re <x (x) y| rho |z (x) w> rises by no more than 1e-14 in a step. Each
+    seed keeps the iterate with the strictly lowest rotated value seen.
+    The loop ends when no seed is active or after 40 steps. Returns
+    (values, X, Z, Y, W) of those best iterates, one row per seed.
+    """
+    dh, dk = X.shape[1], Y.shape[1]
+    R4 = Mh.reshape(dh, dk, dh, dk)
+    best = [_rot_values(Mh, X, Z, Y, W), X.copy(), Z.copy(), Y.copy(), W.copy()]
+    act = np.arange(X.shape[0])
+    cross_prev = np.full(act.size, -np.inf)
+
+    def keep_better(act, x, z, y, w):
+        v = _rot_values(Mh, x, z, y, w)
+        better = v < best[0][act]
+        rows = act[better]
+        for arr, new in zip(best, (v, x, z, y, w)):
+            arr[rows] = new[better]
+
+    for _ in range(40):
+        if act.size == 0:
+            break
+        M = np.einsum("sk,ikjl,sl->sij", Y.conj(), R4, W)
+        X, Z = _best_pairs(M)
+        keep_better(act, X, Z, Y, W)
+        N = np.einsum("si,ikjl,sj->skl", X.conj(), R4, Z)
+        Y, W = _best_pairs(N)
+        keep_better(act, X, Z, Y, W)
+        cross = np.einsum("sk,skl,sl->s", Y.conj(), N, W).real
+        go = cross > cross_prev + 1e-14
+        act, cross_prev = act[go], cross[go]
+        X, Z, Y, W = X[go], Z[go], Y[go], W[go]
+    return tuple(best)
 
 
 def distill_search(rho: DensityMatrix, restarts: int = 20, seed: int = 0):
@@ -467,14 +537,18 @@ def distill_search(rho: DensityMatrix, restarts: int = 20, seed: int = 0):
     top singular pair of a reduced H-side matrix (projected back to an
     orthonormal pair); symmetrically for (y, w). Seeds: the exact balanced
     minimizer on 2 (x) 2, splittings of the most negative partial-transpose
-    eigenvectors, then random pairs. Every iterate is scored by the full
-    rotated value and the best is kept, so the output never degrades on a
-    good seed. The returned certificate is re-verified. PPT input, on which
-    no rotated value can fire, returns None before any restart.
+    eigenvectors, then random pairs up to ``restarts`` in total
+    (1 <= restarts <= MAX_RESTARTS). All seeds are refined together as one
+    stacked batch, one numpy call per operation per step, but each seed
+    follows its own trajectory and stopping rule. Every iterate is scored by
+    the full rotated value and each seed keeps its best, so the output never
+    degrades on a good seed; across seeds the first minimum wins. The
+    returned certificate is re-verified. PPT input, on which no rotated
+    value can fire, returns None before any refinement.
     """
+    _check_restarts(restarts, "restarts")
     dh, dk = rho.dims.dim_h, rho.dims.dim_k
     Mh = reorder(rho, H_MAJOR).mat
-    R4 = Mh.reshape(dh, dk, dh, dk)
     pt = states.partial_transpose_first(reorder(rho, H_MAJOR))
     pe_spec, pv = numkit.hermitian_eigensystem(0.5 * (pt + pt.conj().T))
     # Every search value is 2 <phi| rho^Gamma |phi> >= 2 lambda_min for a unit
@@ -485,40 +559,6 @@ def distill_search(rho: DensityMatrix, restarts: int = 20, seed: int = 0):
         return None
     pe = pe_spec.values  # descending
     rng = np.random.default_rng(seed)
-    iters = 40
-
-    def refine(x, z, y, w):
-        best = (_rot_value(Mh, x, z, y, w), x, z, y, w)
-        cross_prev = -np.inf
-        for _ in range(iters):
-            M = np.einsum("k,ikjl,l->ij", y.conj(), R4, w)
-            U, _, Vh = np.linalg.svd(M)
-            x, z = _lowdin_pair(U[:, 0], Vh[0, :].conj())
-            c = x.conj() @ M @ z
-            if abs(c) > 1e-300:
-                z = z * (c.conjugate() / abs(c))
-            v = _rot_value(Mh, x, z, y, w)
-            if v < best[0]:
-                best = (v, x, z, y, w)
-            N = np.einsum("i,ikjl,j->kl", x.conj(), R4, z)
-            U, _, Vh = np.linalg.svd(N)
-            y, w = _lowdin_pair(U[:, 0], Vh[0, :].conj())
-            c = y.conj() @ N @ w
-            if abs(c) > 1e-300:
-                w = w * (c.conjugate() / abs(c))
-            v = _rot_value(Mh, x, z, y, w)
-            if v < best[0]:
-                best = (v, x, z, y, w)
-            cross = (y.conj() @ N @ w).real
-            if cross <= cross_prev + 1e-14:
-                break
-            cross_prev = cross
-        return best
-
-    def rand_pair(d):
-        A = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
-        Q, _ = np.linalg.qr(A)
-        return Q[:, 0], Q[:, 1]
 
     seeds = []
     if dh == 2 and dk == 2:
@@ -531,21 +571,24 @@ def distill_search(rho: DensityMatrix, restarts: int = 20, seed: int = 0):
         U, s, Vh = np.linalg.svd(E)
         if len(s) >= 2:
             xbar, zbar = U[:, 0], -U[:, 1]
-            seeds.append((xbar.conj(), zbar.conj(), Vh[1, :].copy(), Vh[0, :].copy()))
-            seeds.append((xbar.conj(), -zbar.conj(), Vh[1, :].copy(), Vh[0, :].copy()))
-    while len(seeds) < restarts:
-        x, z = rand_pair(dh)
-        y, w = rand_pair(dk)
-        seeds.append((x, z, y, w))
+            seeds.append((xbar.conj(), zbar.conj(), Vh[1, :], Vh[0, :]))
+            seeds.append((xbar.conj(), -zbar.conj(), Vh[1, :], Vh[0, :]))
+    n_rand = restarts - len(seeds)
+    if n_rand > 0:
+        # Drawn seed by seed (H side, then K side), as a sequential search
+        # would draw them; the QRs then run as two batched calls.
+        draws = [rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
+                 for _ in range(n_rand) for d in (dh, dk)]
+        Qh, _ = np.linalg.qr(np.array(draws[0::2]))
+        Qk, _ = np.linalg.qr(np.array(draws[1::2]))
+        seeds.extend(zip(Qh[:, :, 0], Qh[:, :, 1], Qk[:, :, 0], Qk[:, :, 1]))
+    X, Z, Y, W = (np.array(v) for v in zip(*seeds))
 
-    best = None
-    for sd in seeds:
-        cand = refine(*sd)
-        if best is None or cand[0] < best[0]:
-            best = cand
-    if best is None or not best[0] < FIRE_TOL:
+    vals, X, Z, Y, W = _refine_batch(Mh, X, Z, Y, W)
+    i = int(np.argmin(vals))
+    if not vals[i] < FIRE_TOL:
         return None
-    _, x, z, y, w = best
+    x, z, y, w = X[i].copy(), Z[i].copy(), Y[i].copy(), W[i].copy()
     value = rotated_rank4_value(rho, x, z, y, w)
     if not value < FIRE_TOL:
         return None

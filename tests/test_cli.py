@@ -148,6 +148,12 @@ def test_detect_output_independent_of_blas_threads(tmp_path):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("restarts", ["0", "-1", "1001"])
+def test_detect_restarts_out_of_range_exits_2(e34_file, capsys, restarts):
+    assert run(["detect", str(e34_file), "--restarts", restarts]) == 2
+    assert "restarts must be an integer in 1..1000" in capsys.readouterr().err
+
+
 def test_detect_reads_stdin(e34_file, capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO(e34_file.read_text()))
@@ -248,6 +254,15 @@ def test_version_flag(capsys):
         run(["--version"])
     assert exc.value.code == 0
     assert cli.__version__ in capsys.readouterr().out
+
+
+def test_python_m_witnesskit_version():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "witnesskit", "--version"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == f"witnesskit {cli.__version__}"
 
 
 def test_unknown_command_exits_2():

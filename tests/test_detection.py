@@ -307,9 +307,81 @@ def test_distill_skips_search_on_ppt_input(monkeypatch):
     def no_search(*args):
         raise AssertionError("distill search ran on a PPT state")
 
-    monkeypatch.setattr(detection, "_rot_value", no_search)
+    monkeypatch.setattr(detection, "_refine_batch", no_search)
     assert distill_search(example_34(*P34), seed=0) is None
     assert distill_search(random_separable(D33, 4, seed=0), seed=0) is None
+
+
+# Certificate values of the sequential (one seed at a time) search, recorded
+# before the seeds were batched: (dims, state seed, rank, value or None), each
+# at restarts=20 with seed = state seed. The batch changes only the rounding.
+SEQUENTIAL_DISTILL = [
+    ((2, 2), 0, None, None),
+    ((2, 2), 4, 2, None),
+    ((2, 2), 5, 3, None),
+    ((2, 2), 2, None, -0.03191711613999193),
+    ((3, 3), 5, None, -0.02308291474813881),
+    ((3, 3), 0, 2, -0.589729370649664),
+    ((4, 4), 0, None, -0.05016078784385361),
+    ((2, 5), 3, None, -0.07686282852681237),
+    ((5, 2), 3, None, -0.06140030783085325),
+    ((3, 4), 1, None, -0.07675354893589635),
+    ((3, 4), 4, 3, -0.4676292190029036),
+]
+
+
+@pytest.mark.parametrize("dims, seed, rank, value", SEQUENTIAL_DISTILL)
+def test_distill_matches_sequential_search(dims, seed, rank, value):
+    rho = _ginibre(BipartiteDims(*dims), seed, rank)
+    assert ppt_check(rho) < -1e-9
+    cert = distill_search(rho, restarts=20, seed=seed)
+    if value is None:
+        assert cert is None
+    else:
+        assert cert is not None and abs(cert.value - value) < 1e-12
+
+
+@pytest.mark.parametrize("dims, seed", [((2, 2), 1), ((3, 3), 2), ((4, 4), 3), ((2, 5), 4), ((5, 2), 5)])
+def test_distill_more_restarts_never_worse(dims, seed):
+    # The seeds for 5 restarts are a prefix of those for 20, and every seed
+    # follows its own trajectory; the bound allows for rounding only.
+    rho = _ginibre(BipartiteDims(*dims), seed)
+    few = distill_search(rho, restarts=5, seed=seed)
+    many = distill_search(rho, restarts=20, seed=seed)
+    if few is not None:
+        assert many is not None and many.value <= few.value + 1e-12
+
+
+@pytest.mark.parametrize("dims, seed", [((2, 2), 6), ((3, 4), 7), ((5, 2), 8)])
+def test_distill_batch_rows_match_single_seed_runs(dims, seed):
+    # Each seed must follow its own trajectory and stopping rule inside the
+    # batch: refining the stack gives, row by row, what refining that seed
+    # alone gives.
+    dims = BipartiteDims(*dims)
+    rho = _ginibre(dims, seed, rank=3)
+    Mh = reorder(rho, H_MAJOR).mat
+    rng = np.random.default_rng(seed)
+
+    def pairs(d):
+        a = rng.standard_normal((12, d, 2)) + 1j * rng.standard_normal((12, d, 2))
+        q, _ = np.linalg.qr(a)
+        return q[:, :, 0], q[:, :, 1]
+
+    X, Z = pairs(dims.dim_h)
+    Y, W = pairs(dims.dim_k)
+    batch = detection._refine_batch(Mh, X, Z, Y, W)
+    for s in range(12):
+        alone = detection._refine_batch(Mh, X[s:s + 1], Z[s:s + 1], Y[s:s + 1], W[s:s + 1])
+        assert abs(alone[0][0] - batch[0][s]) < 1e-12
+
+
+@pytest.mark.parametrize("restarts", [0, -1, 1001, 2.5])
+def test_distill_restarts_out_of_range(restarts):
+    rho = maximally_entangled(2, D22)
+    with pytest.raises(ValueError, match="restarts must be an integer in 1..1000"):
+        distill_search(rho, restarts=restarts)
+    with pytest.raises(ValueError, match="distill_restarts must be an integer in 1..1000"):
+        DetectConfig(distill_restarts=restarts)
 
 
 def test_distill_finds_noisy_pure_states():
