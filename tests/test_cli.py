@@ -148,6 +148,49 @@ def test_detect_output_independent_of_blas_threads(tmp_path):
     assert reports[0] == reports[1]
 
 
+def _slack_state(dims, positive, negative, eps):
+    from witnesskit import BipartiteDims, DensityMatrix, H_MAJOR, state_to_dict
+    m = np.outer(positive, positive.conj()) - eps * np.outer(negative, negative.conj())
+    return state_to_dict(DensityMatrix(BipartiteDims(dims, dims), H_MAJOR, m))
+
+
+def _ket(dims, i, j):
+    v = np.zeros(dims * dims)
+    v[(i - 1) * dims + (j - 1)] = 1.0
+    return v
+
+
+@pytest.mark.parametrize("eps", [3e-10, 5e-10, 9e-10])
+def test_detect_sound_inside_validation_slack_3x3(tmp_path, capsys, eps):
+    # |33><33| - (eps/2)(|11> - |22>)(<11| - <22|) passes validation, whose
+    # positivity slack is 1e-9, and its positive part is a product state:
+    # no criterion may certify it
+    state = tmp_path / "slack.json"
+    minus = (_ket(3, 1, 1) - _ket(3, 2, 2)) / np.sqrt(2)
+    state.write_text(json.dumps(_slack_state(3, _ket(3, 3, 3), minus, eps)))
+    assert run(["detect", str(state)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "undetected", payload["fired"]
+
+
+@pytest.mark.parametrize("eps", [3e-10, 9e-10])
+def test_detect_sound_inside_validation_slack_7x7(tmp_path, capsys, eps):
+    # the negative direction is the top eigenvector of an n = 6 entry
+    # witness, which scores |77><77| zero and the state -5 eps
+    from witnesskit import BipartiteDims, Permutation, WitnessSpec, witness_kps
+    n, dims = 6, BipartiteDims(7, 7)
+    pi = Permutation.identity(n)
+    sigma = Permutation((2, 3, 4, 5, 6, 1))
+    w = witness_kps(WitnessSpec(n, sigma.inverse().compose(pi), Permutation.identity(n), pi, dims))
+    vals, vecs = np.linalg.eigh(w.mat)
+    assert abs(vals[-1] - (n - 1)) < 1e-12
+    state = tmp_path / "slack7.json"
+    state.write_text(json.dumps(_slack_state(7, _ket(7, 7, 7), vecs[:, -1], eps)))
+    assert run(["detect", str(state)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "undetected", payload["fired"]
+
+
 @pytest.mark.parametrize("restarts", ["0", "-1", "1001"])
 def test_detect_restarts_out_of_range_exits_2(e34_file, capsys, restarts):
     assert run(["detect", str(e34_file), "--restarts", restarts]) == 2

@@ -1,5 +1,9 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +179,36 @@ def test_assignment_brute_force_oracle():
                 assert all((sigma(i), i) not in forbidden for i in range(1, n + 1))
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_assignment_subset_dp_matches_brute_force(n):
+    # optimum and the lexicographic tie rule against full enumeration, with
+    # random forbidden cells and ties planted by rounding costs to a grid
+    rng = np.random.default_rng(70 + n)
+    perms = np.array(list(itertools.permutations(range(n))))
+    for trial in range(12 if n < 7 else 3):
+        cost = rng.integers(0, 4, size=(n, n)) / 4.0
+        forbidden = [(int(v) + 1, int(i) + 1) for v, i in zip(*np.nonzero(rng.uniform(size=(n, n)) < 0.3))]
+        C = cost.copy()
+        for v, i in forbidden:
+            C[v - 1, i - 1] = np.inf
+        totals = C[perms, np.arange(n)].sum(axis=1)
+        if not np.isfinite(totals.min()):
+            with pytest.raises(InfeasibleAssignmentError):
+                assignment_min_forbidden(cost, forbidden)
+            continue
+        first = perms[np.argmax(totals <= totals.min() + 1e-12)]
+        sigma, val = assignment_min_forbidden(cost, forbidden)
+        assert sigma.image == tuple(int(v) + 1 for v in first)
+        assert abs(val - totals.min()) < 1e-12
+
+
+def test_assignment_size_cap_and_bad_costs():
+    with pytest.raises(ValueError, match="n <= 16"):
+        assignment_min_forbidden(np.zeros((17, 17)))
+    with pytest.raises(ValueError, match="finite"):
+        assignment_min_forbidden(np.array([[0.0, np.nan], [0.0, 0.0]]))
+
+
 def test_assignment_derangement_tie_break():
     # all-zero costs with the diagonal forbidden: lexicographically first
     # derangement wins
@@ -234,6 +268,109 @@ def test_entry_search_heuristic_agrees_when_it_fires():
     heur = entry_search(rho, 3, mode="heuristic", seed=1)
     assert heur is not None
     assert heur.value <= exact.value + 1e-12
+
+
+def _pin_state(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    d = n * n
+    g = rng.standard_normal((d, d if kind != "low_rank" else 2))
+    g = g + 1j * rng.standard_normal(g.shape)
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    if kind != "ginibre":
+        # a maximally entangled vector on the cells (perm(i), i), mixed with
+        # white noise and the random state drawn above
+        perm = rng.permutation(n)
+        v = np.zeros(d)
+        v[perm * n + np.arange(n)] = 1 / np.sqrt(n)
+        t = rng.uniform(0.3, 0.7)
+        m = t * np.outer(v, v) + (1 - t) * (0.7 * np.eye(d) / d + 0.3 * m)
+    rho = DensityMatrix(BipartiteDims(n, n), H_MAJOR, m)
+    return reorder(rho, K_MAJOR) if seed % 2 else rho
+
+
+# Exact-mode certificates of the per-pi assignment search (one solver call
+# per pi) that the sweep replaced, recorded from it: (n, kind, seed, None or
+# (pi1, sigma1, value)).
+PINNED_ENTRY = [
+    (2, "ginibre", 200, None),
+    (2, "low_rank", 201, ((1, 2), (2, 1), -0.03324083956954693)),
+    (2, "max_ent_mix", 202, ((1, 2), (2, 1), -0.08445148444307327)),
+    (3, "ginibre", 300, None),
+    (3, "low_rank", 301, ((2, 3, 1), (1, 2, 3), -0.03117115035361795)),
+    (3, "max_ent_mix", 302, None),
+    (4, "ginibre", 400, None),
+    (4, "low_rank", 401, None),
+    (4, "max_ent_mix", 402, None),
+    (4, "low_rank", 411, None),
+    (4, "max_ent_mix", 412, ((1, 2, 4, 3), (4, 3, 1, 2), -0.4725495129535695)),
+    (5, "ginibre", 500, None),
+    (5, "low_rank", 501, ((5, 4, 1, 2, 3), (3, 1, 4, 5, 2), -0.27981116570841813)),
+    (5, "max_ent_mix", 502, None),
+    (6, "ginibre", 600, None),
+    (6, "low_rank", 601, ((4, 3, 1, 6, 5, 2), (3, 2, 4, 5, 1, 6), -0.4385465252011067)),
+    (6, "max_ent_mix", 602, ((3, 4, 2, 6, 5, 1), (2, 1, 6, 4, 3, 5), -0.06660967118448413)),
+    (7, "ginibre", 700, None),
+    (7, "low_rank", 701, ((1, 4, 6, 7, 5, 3, 2), (4, 2, 5, 6, 1, 7, 3), -0.426386678917845)),
+    (7, "max_ent_mix", 702, None),
+]
+
+
+@pytest.mark.parametrize("n, kind, seed, expected", PINNED_ENTRY)
+def test_entry_sweep_matches_recorded_certificates(n, kind, seed, expected):
+    cert = entry_search(_pin_state(n, kind, seed), n, mode="exact")
+    if expected is None:
+        assert cert is None
+    else:
+        pi1, sigma1, value = expected
+        assert cert is not None
+        assert cert.pi1.image == pi1 and cert.sigma1.image == sigma1
+        assert abs(cert.value - value) < 1e-12
+
+
+def test_entry_sweep_pi_tie_rule():
+    # A mixture of maximally entangled vectors on three disjoint cyclic
+    # shifts tau_k of 4 (x) 4, weights p_k; the fourth shift carries no
+    # weight, so each tau_k scores -p_k with sigma = tau_3. The weights step
+    # by 0.8e-12 in lexicographic order of tau_0 < tau_1 < tau_2, a chain of
+    # near-ties: the minimum is tau_2's and the lexicographically first pi
+    # within 1e-12 of it is tau_1. (A sequential strict-improvement scan,
+    # keeping the first pi unless another beats it by 1e-12, ends at tau_2.)
+    step = 0.8e-12
+    p = (1 - 3 * step) / 3 + np.array([0.0, step, 2 * step])
+    m = np.zeros((16, 16))
+    for k in range(3):
+        v = np.zeros(16)
+        v[(np.arange(4) + k) % 4 * 4 + np.arange(4)] = 0.5
+        m += p[k] * np.outer(v, v)
+    cert = entry_search(DensityMatrix(D44, H_MAJOR, m), 4, mode="exact")
+    assert cert.pi1.image == (2, 3, 4, 1) and cert.sigma1.image == (4, 1, 2, 3)
+    assert abs(cert.value + p[1]) < 1e-14
+
+
+@pytest.mark.parametrize("n, kind, seed", [(3, "low_rank", 301), (5, "low_rank", 501)])
+def test_entry_heuristic_dp_route_matches_sorted_sweep(monkeypatch, n, kind, seed):
+    # Above EXACT_MAX_N the heuristic takes sigma minima from the subset DP
+    # and sigma itself from assignment_min_forbidden. Lowering the bound
+    # sends small n down that route, which must agree with the sorted sweep
+    # on every pi and on the certificate.
+    rho = _pin_state(n, kind, seed)
+    cells, masks = detection._perm_table(n)
+    sweep = detection._EntryCosts(detection._entry_tables(rho, n), n)
+    swept = sweep.sigma_mins(cells, masks)
+    expected = entry_search(rho, n, mode="heuristic", seed=3)
+    monkeypatch.setattr(detection, "EXACT_MAX_N", n - 1)
+    dp = detection._EntryCosts(detection._entry_tables(rho, n), n)
+    assert np.allclose(dp.sigma_mins(cells), swept, rtol=0, atol=1e-14)
+    cert = entry_search(rho, n, mode="heuristic", seed=3)
+    assert expected is not None and cert is not None
+    assert (cert.pi1, cert.sigma1, cert.value) == (expected.pi1, expected.sigma1, expected.value)
+
+
+def test_entry_search_heuristic_size_cap():
+    rho = DensityMatrix(BipartiteDims(17, 17), H_MAJOR, np.eye(289) / 289)
+    with pytest.raises(ValueError, match="n <= 16"):
+        entry_search(rho, 17, mode="heuristic")
 
 
 def test_entry_search_input_checks():
@@ -459,6 +596,21 @@ def test_detect_heuristic_fallback_config():
     # n = 4 now runs the heuristic; it still finds the negative block
     assert rep.entry_best is not None
     assert rep.entry_best.value < -1e-10
+
+
+def test_import_is_lazy_and_scipy_free():
+    # scipy.optimize once cost most of a CLI process; the permutation tables
+    # of the entry search are built on first use of each n, never at import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, witnesskit; from witnesskit import detection; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print(detection._perm_table.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout.split("\n")
+    assert out[0] == "[]"
+    assert out[1] == "0"
 
 
 def test_report_to_dict_is_json_ready():
