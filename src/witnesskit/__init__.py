@@ -12,8 +12,10 @@ __version__ = "0.1.0"
 from .numkit import (
     Spectrum,
     hermitian_eigenvalues,
+    hermitian_eigenvalues_stack,
     hermitian_eigensystem,
     singular_values,
+    singular_values_stack,
     trace_norm,
 )
 from .states import (
@@ -71,6 +73,7 @@ from .detection import (
     ppt_check,
     pure_check,
     report_to_dict,
+    scan_criteria,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,6 +8,12 @@ Commands::
     witnesskit scan ...                 tabulate criteria over a parameter grid
     witnesskit selfcheck                run the acceptance suite
 
+``scan`` builds and domain-checks every grid state before any criterion
+runs, then evaluates the grid as one stacked pass (``scan_criteria``: one
+batched eigvalsh, one batched SVD, one exact entry sweep per n, in blocks
+of 512 points); its rows are those of evaluating each point alone. The parser is built once per
+process and the acceptance suite is imported only by ``selfcheck``.
+
 Exit codes: 0 the command ran (verdicts never drive exit codes), 2 input or
 validation error, 3 internal numerical failure. JSON output is byte-stable
 (sorted keys, fixed indentation) and serializes complex numbers as
@@ -18,23 +24,15 @@ default seed; an explicit --seed wins.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import __version__, selfcheck, states
-from .detection import (
-    CCNR_TOL,
-    DetectConfig,
-    PPT_TOL,
-    ccnr_check,
-    detect,
-    entry_search,
-    ppt_check,
-    report_to_dict,
-)
+from . import __version__, states
+from .detection import CCNR_TOL, DetectConfig, PPT_TOL, detect, report_to_dict, scan_criteria
 from .states import BipartiteDims, DomainError, FormatError, H_MAJOR, ORDERINGS
 from .witnesses import Permutation, WitnessSpec, rank4_witness, witness_kps, witness_to_dict
 
@@ -196,32 +194,15 @@ _SCAN_PARAMS = {
 }
 
 
-def _scan_row(family, params, seed):
+def _family_state(family, params):
     if family == "e34":
-        rho = states.example_34(
+        return states.example_34(
             params["q1"], params["q2"], params["q3"], params["a"], params["b"], params["c"]
         )
-    else:
-        rho = states.example_35(
-            params["q1"], params["q2"], params["q3"], params["q4"],
-            params["a"], params["b"], params["c"], params["d"],
-        )
-    ppt = ppt_check(rho)
-    ccnr = ccnr_check(rho)
-    best = None
-    for n in range(2, rho.dims.dim_h + 1):
-        cert = entry_search(rho, n, mode="exact", seed=seed)
-        if cert is not None and (best is None or cert.value < best):
-            best = cert.value
-    fired = ppt < PPT_TOL or ccnr > 1.0 + CCNR_TOL or best is not None
-    row = {k: round(v, 15) for k, v in params.items()}
-    row.update(
-        ppt_min_eig=ppt,
-        ccnr_trace_norm=ccnr,
-        entry_value=best,
-        verdict="entangled" if fired else "undetected",
+    return states.example_35(
+        params["q1"], params["q2"], params["q3"], params["q4"],
+        params["a"], params["b"], params["c"], params["d"],
     )
-    return row
 
 
 def cmd_scan(args) -> int:
@@ -234,9 +215,11 @@ def cmd_scan(args) -> int:
     base = dict(zip(qnames, q)) | dict(zip(anames, amps))
     seed = _resolve_seed(args.seed)
 
-    rows = []
+    # Every grid state is built (and domain-checked) before any criterion
+    # runs; the criteria then take the whole grid as one stack.
     if args.vary is None:
-        rows.append(_scan_row(family, base, seed))
+        grid = [base]
+        rhos = [_family_state(family, base)]
     else:
         if args.vary not in qnames[:-1]:
             raise ValueError(
@@ -250,14 +233,28 @@ def cmd_scan(args) -> int:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 0:
             raise ValueError(f"--range count must be >= 0, got {count}")
+        grid, rhos = [], []
         for v in np.linspace(start, stop, count):
             params = dict(base)
             params[args.vary] = float(v)
             params[qnames[-1]] = 1.0 - sum(params[name] for name in qnames[:-1])
             try:
-                rows.append(_scan_row(family, params, seed))
+                rhos.append(_family_state(family, params))
             except DomainError as exc:
                 raise DomainError(f"grid point {args.vary} = {v:.6g} is invalid: {exc}") from exc
+            grid.append(params)
+
+    rows = []
+    for params, (ppt, ccnr, best) in zip(grid, scan_criteria(rhos)):
+        fired = ppt < PPT_TOL or ccnr > 1.0 + CCNR_TOL or best is not None
+        row = {k: round(v, 15) for k, v in params.items()}
+        row.update(
+            ppt_min_eig=ppt,
+            ccnr_trace_norm=ccnr,
+            entry_value=best,
+            verdict="entangled" if fired else "undetected",
+        )
+        rows.append(row)
 
     if args.format == "json":
         payload = {
@@ -288,13 +285,18 @@ def cmd_scan(args) -> int:
 # -------------------------------------------------------------- selfcheck
 
 def cmd_selfcheck(args) -> int:
+    from . import selfcheck  # only this command needs the acceptance suite
+
     results = selfcheck.run_all(printer=lambda line: print(line))
     return 0 if all(passed for _, passed, _, _ in results) else 1
 
 
 # ------------------------------------------------------------------ main
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parse_args leaves it
+    unchanged, so every call can share it)."""
     p = argparse.ArgumentParser(
         prog="witnesskit",
         description="Entanglement detection for bipartite density matrices.",

@@ -17,6 +17,11 @@ Four criteria, each sufficient for entanglement and silent otherwise:
   rule, so the batch finds what refining the seeds one by one would, up
   to rounding.
 
+``scan_criteria`` runs PPT, CCNR and the exact entry sweep on a stack of
+same-dims states at once: one batched eigvalsh, one batched SVD and one
+sweep per n for each block of up to 512 states. ``ppt_check``, ``ccnr_check`` and exact ``entry_search`` are
+the stack-of-one case of those same kernels.
+
 The searches are deterministic for a fixed seed. Certificates are always
 re-verified against the witness layer before being returned, so a returned
 certificate is sound even though a ``None`` proves nothing.
@@ -53,6 +58,7 @@ __all__ = [
     "indices_to_perms",
     "assignment_min_forbidden",
     "entry_search",
+    "scan_criteria",
     "pure_check",
     "distill_search",
     "detect",
@@ -136,13 +142,25 @@ class DetectionReport:
 
 def ppt_check(rho: DensityMatrix) -> float:
     """Minimum eigenvalue of the partial transpose; < -1e-9 means entangled."""
-    pt = states.partial_transpose_first(rho)
-    return numkit.hermitian_eigenvalues(0.5 * (pt + pt.conj().T)).min
+    return _ppt_mins(states.partial_transpose_first(rho)[None])[0]
 
 
 def ccnr_check(rho: DensityMatrix) -> float:
     """Trace norm of the realignment; > 1 + 1e-9 means entangled."""
-    return numkit.trace_norm(states.realignment(rho))
+    return _ccnr_norms(states.realignment(rho)[None])[0]
+
+
+def _ppt_mins(pt) -> list:
+    """Minimum eigenvalue of each matrix of an (R, d, d) stack of partial
+    transposes, from one batched eigvalsh."""
+    spectra = numkit.hermitian_eigenvalues_stack(0.5 * (pt + pt.conj().swapaxes(1, 2)))
+    return [s.min for s in spectra]
+
+
+def _ccnr_norms(realigned) -> list:
+    """Trace norm of each matrix of an (R, dh^2, dk^2) stack of
+    realignments, from one batched SVD."""
+    return [float(s.values.sum()) for s in numkit.singular_values_stack(realigned)]
 
 
 def _check_entry_indices(k, h, n):
@@ -225,7 +243,7 @@ def entry_value_perms(rho: DensityMatrix, n: int, pi: Permutation, sigma: Permut
     o = rho.ordering
     p = np.array([basis_index(pi(i), i, dims, o) - 1 for i in range(1, n + 1)])
     q = np.array([basis_index(sigma(i), i, dims, o) - 1 for i in range(1, n + 1)])
-    sub = m[np.ix_(p, p)]
+    sub = m[p[:, None], p]
     tr = sub.trace()
     val = (n - 2) * tr + m[q, q].sum() - (sub.sum() - tr)
     if abs(val.imag) > 1e-10:
@@ -352,111 +370,145 @@ def _perm_table(n):
     return cells, masks
 
 
-def _entry_tables(rho: DensityMatrix, n: int):
-    """The real n^2 x n^2 submatrix on the kets |s, i'> (s, i <= n), row
-    s * n + i (0-based), from index arithmetic on the ordering."""
-    dh, dk = rho.dims.dim_h, rho.dims.dim_k
+def _take(a, idx):
+    """a[:, idx] for an (R, m) array, without the state axis when R = 1:
+    a single row goes through numpy's 1-d gather, several times faster on
+    a large idx."""
+    return a[0][idx] if len(a) == 1 else a[:, idx]
+
+
+@functools.cache
+def _slot_pairs(n):
+    """The slot pairs i < j of n slots, as two index arrays."""
+    return np.triu_indices(n, 1)
+
+
+def _entry_tables(mats, dims, ordering, n: int):
+    """The real n^2 x n^2 submatrices on the kets |s, i'> (s, i <= n) of an
+    (R, d, d) stack of states of one dims and ordering, row s * n + i
+    (0-based), from index arithmetic on the ordering."""
     s, i = np.divmod(np.arange(n * n), n)
-    idx = s * dk + i if rho.ordering == H_MAJOR else i * dh + s
-    return rho.mat[np.ix_(idx, idx)].real
+    idx = s * dims.dim_k + i if ordering == H_MAJOR else i * dims.dim_h + s
+    return mats[:, idx[:, None], idx].real
 
 
 class _EntryCosts:
-    """Totals min_sigma value(pi, sigma) for batches of pi on one state.
+    """Totals min_sigma value(pi, sigma) for batches of pi on R states at once.
 
     A pi, as cells p (value * n + slot), contributes (n-2) sum_i Q[p_i, p_i]
     - sum_{i != j} Q[p_i, p_j]; sigma contributes its diagonal cost
     c(sigma) = sum_i Q[s_i, s_i], minimized over sigma differing from pi in
     every slot. For n <= EXACT_MAX_N that minimum is the first sigma, in
-    order of c, whose mask shares no bit with pi's; above it, the subset DP
-    of assignment_min_forbidden. Only the value of that first sigma is read,
-    so the sort need not be stable: best_sigma picks sigma itself by the
-    lexicographic rule.
+    each state's own order of c, whose mask shares no bit with pi's; above
+    it, the subset DP of assignment_min_forbidden. Only the value of that
+    first sigma is read, so the sort need not be stable: best_sigmas picks
+    sigma itself by the lexicographic rule. Results have one row per state.
     """
 
     def __init__(self, Q, n):
         self.n = n
-        self.diag = Q.diagonal().copy()
-        self.iu, self.ju = np.triu_indices(n, 1)
-        self.off = Q + Q.T
+        R = len(Q)
+        self.diag = Q.diagonal(0, 1, 2).copy()
+        self.iu, self.ju = _slot_pairs(n)
+        # Q[a, b] + Q[b, a] at flat index a * n^2 + b
+        self.off = (Q + Q.transpose(0, 2, 1)).reshape(R, -1)
         if n <= EXACT_MAX_N:
             self.bits = np.left_shift(np.uint64(1), np.arange(n * n, dtype=np.uint64))
             cells, self.masks = _perm_table(n)
-            self.c = self.diag[cells].sum(axis=1)
-            order = np.argsort(self.c)
-            self.sorted_c, self.sorted_masks = self.c[order], self.masks[order]
+            self.c = _take(self.diag, cells).sum(axis=-1).reshape(R, -1)
+            order = np.argsort(self.c, axis=1)
+            # each state's c in its own order, by one 1-d gather
+            self.sorted_c = self.c.ravel()[order + len(cells) * np.arange(R)[:, None]]
+            self.sorted_masks = self.masks[order]
 
     def pi_parts(self, cells):
-        n, out = self.n, np.empty(len(cells))
-        step = max(1, _GATHER_ELEMS // max(1, len(self.iu)))
+        n, R = self.n, len(self.diag)
+        out = np.empty((R, len(cells)))
+        step = max(1, _GATHER_ELEMS // (R * max(1, len(self.iu))))
         for a in range(0, len(cells), step):
             p = cells[a:a + step]
-            off = self.off[p[:, self.iu], p[:, self.ju]].sum(axis=1)
-            out[a:a + step] = (n - 2) * self.diag[p].sum(axis=1) - off
+            off = _take(self.off, p[:, self.iu] * (n * n) + p[:, self.ju]).sum(axis=-1)
+            out[:, a:a + step] = (n - 2) * _take(self.diag, p).sum(axis=-1) - off
         return out
 
     def sigma_mins(self, cells, masks=None):
+        """Constrained sigma minima, (R, B) for B = len(cells). All (state,
+        pi) pairs are resolved together, pair t being state t // B and pi
+        t % B, over growing chunks of the sorted sigma."""
         if self.n > EXACT_MAX_N:
             return self._sigma_mins_dp(cells)
-        out = np.empty(len(cells))
-        todo = np.arange(len(cells))
+        R, B = len(self.diag), len(cells)
+        out = np.empty(R * B)
+        todo = np.arange(R * B)
+        pmask = masks if R == 1 else np.tile(masks, R)
         start, width = 0, 16
         while todo.size:
             width = min(2 * width, max(8, _GATHER_ELEMS // todo.size))
-            chunk = self.sorted_masks[start:start + width]
-            ok = (masks[todo, None] & chunk) == 0
+            # one state's chunk of sorted sigma broadcasts over all its
+            # pairs; with several states, each pair gathers its state's
+            chunk = self.sorted_masks[:, start:start + width]
+            if R > 1:
+                rows = todo // B
+                chunk = chunk[rows]
+            ok = (pmask[:, None] & chunk) == 0
             hit = ok.any(axis=1)
-            out[todo[hit]] = self.sorted_c[start + ok[hit].argmax(axis=1)]
-            todo = todo[~hit]
+            first = start + ok[hit].argmax(axis=1)
+            out[todo[hit]] = self.sorted_c[0][first] if R == 1 else self.sorted_c[rows[hit], first]
+            miss = ~hit
+            todo, pmask = todo[miss], pmask[miss]
             start += width
-        return out
+        return out.reshape(R, B)
 
     def _sigma_mins_dp(self, cells):
-        n, out = self.n, np.empty(len(cells))
-        step = max(1, _GATHER_ELEMS >> n)
-        for a in range(0, len(cells), step):
+        n, R, B = self.n, len(self.diag), len(cells)
+        out = np.empty((R, B))
+        step = max(1, (_GATHER_ELEMS >> n) // R)
+        for a in range(0, B, step):
             p = cells[a:a + step]
-            C = np.repeat(self.diag.reshape(1, n, n), len(p), axis=0)
-            C.reshape(len(p), -1)[np.arange(len(p))[:, None], p] = np.inf
-            out[a:a + step] = _completion_costs(C)[:, 0]
+            C = np.repeat(self.diag.reshape(R, 1, n, n), len(p), axis=1)
+            C.reshape(R, len(p), -1)[:, np.arange(len(p))[:, None], p] = np.inf
+            out[:, a:a + step] = _completion_costs(C)[..., 0]
         return out
 
     def totals(self, pis):
-        """Totals for a (B, n) batch of 0-based pi images."""
+        """Totals for a (B, n) batch of 0-based pi images, shape (R, B)."""
         cells = pis * self.n + np.arange(self.n)
         masks = self.bits[cells].sum(axis=1) if self.n <= EXACT_MAX_N else None
         return self.pi_parts(cells) + self.sigma_mins(cells, masks)
 
-    def best_sigma(self, pi):
-        """sigma for pi (0-based images) by the lexicographic rule: the first
-        permutation within 1e-12 of the constrained optimum. 1-based images."""
+    def best_sigmas(self, rows, pis):
+        """sigma for pis[f] (0-based images) on state rows[f], by the
+        lexicographic rule: the first permutation within 1e-12 of the
+        constrained optimum. (F, n) 1-based images."""
         n = self.n
         if n > EXACT_MAX_N:
-            sigma, _ = assignment_min_forbidden(
-                self.diag.reshape(n, n), [(int(pi[i]) + 1, i + 1) for i in range(n)])
-            return sigma.image
+            return [assignment_min_forbidden(self.diag[r].reshape(n, n),
+                                             [(int(p[i]) + 1, i + 1) for i in range(n)])[0].image
+                    for r, p in zip(rows, pis)]
         cells, _ = _perm_table(n)
-        pmask = self.bits[pi * n + np.arange(n)].sum()
-        avoid = (self.masks & pmask) == 0
-        cmin = self.c[avoid].min()
-        s = int(np.argmax(avoid & (self.c <= cmin + 1e-12)))
-        return tuple(int(v) + 1 for v in cells[s] // n)
+        pmask = self.bits[pis * n + np.arange(n)].sum(axis=1)
+        avoid = (self.masks & pmask[:, None]) == 0
+        c = self.c[rows]
+        cmin = np.where(avoid, c, np.inf).min(axis=1)
+        s = np.argmax(avoid & (c <= cmin[:, None] + 1e-12), axis=1)
+        return cells[s] // n + 1
 
 
 def _heuristic_pi(costs, n, seed):
-    """Seeded multi-restart first-improvement 2-swap search on pi.
+    """Seeded multi-restart first-improvement 2-swap search on pi, on the
+    single state of ``costs``.
 
     Pairs (a, b) are tried in order; the first that lowers the total by more
     than 1e-12 is taken and the scan goes on from the next pair. The totals
     of all remaining pairs are scored as one batch, which leaves the
     trajectory that of trying them one at a time.
     """
-    a_idx, b_idx = np.triu_indices(n, 1)
+    a_idx, b_idx = _slot_pairs(n)
     rng = np.random.default_rng(seed)
     best_pi, best_total = None, np.inf
     for _ in range(max(8, 2 * n)):
         cur = rng.permutation(n)
-        cur_t = costs.totals(cur[None])[0]
+        cur_t = costs.totals(cur[None])[0, 0]
         improved, j = False, 0
         while True:
             if j == len(a_idx):
@@ -467,7 +519,7 @@ def _heuristic_pi(costs, n, seed):
             cand = np.repeat(cur[None], len(a), axis=0)
             rows = np.arange(len(a))
             cand[rows, a], cand[rows, b] = cur[b], cur[a]
-            t = costs.totals(cand)
+            t = costs.totals(cand)[0]
             better = np.flatnonzero(t < cur_t - 1e-12)
             if better.size == 0:
                 j = len(a_idx)
@@ -482,22 +534,60 @@ def _heuristic_pi(costs, n, seed):
     return best_pi, best_total
 
 
+def _certify(rhos, n, costs, pis, totals):
+    """Certificates for pi = pis[r] (0-based images) on each state r whose
+    search total totals[r] may fire; None for the others, and for any whose
+    value, re-read off the entries, does not fire."""
+    out = [None] * len(rhos)
+    # A certificate value re-sums the same entries as its total, so on
+    # unit-trace input the two differ by rounding only (~n^2 eps); a total
+    # this far above FIRE_TOL cannot fire, and its sigma is never resolved.
+    fire = np.flatnonzero(totals < FIRE_TOL + 1e-9)
+    if not fire.size:
+        return out
+    for r, sigma in zip(fire.tolist(), costs.best_sigmas(fire, pis[fire])):
+        rho, pi, sigma = rhos[r], Permutation(pis[r] + 1), Permutation(sigma)
+        value = entry_value_perms(rho, n, pi, sigma)
+        if not value < FIRE_TOL:
+            continue
+        k_idx = tuple(basis_index(pi(i), i, rho.dims, K_MAJOR) for i in range(1, n + 1))
+        h_idx = tuple(basis_index(sigma(i), i, rho.dims, K_MAJOR) for i in range(1, n + 1))
+        kappa = sigma.inverse().compose(pi)
+        spec = WitnessSpec(n, kappa, Permutation.identity(n), pi, rho.dims)
+        out[r] = EntryCertificate(n, k_idx, h_idx, pi, sigma, value, spec)
+    return out
+
+
+def _entry_sweep(rhos, mats, n):
+    """Exact entry search on states of one dims and ordering, their
+    matrices stacked in ``mats``, as one sweep: an EntryCertificate or None
+    per state."""
+    costs = _EntryCosts(_entry_tables(mats, rhos[0].dims, rhos[0].ordering, n), n)
+    cells, masks = _perm_table(n)
+    totals = costs.pi_parts(cells) + costs.sigma_mins(cells, masks)
+    best = totals.min(axis=1)
+    w = np.argmax(totals <= best[:, None] + 1e-12, axis=1)
+    return _certify(rhos, n, costs, cells[w] // n, best)
+
+
 def entry_search(rho: DensityMatrix, n: int, mode: str = "exact", seed: int = 0):
     """Minimize the entry criterion value over permutation pairs.
 
     The value splits into a pi part (n^2 entries) and a sigma part c(sigma),
     a sum of n diagonal entries, with sigma(i) != pi(i) in every slot.
-    Exact mode (n <= 8) is one vectorised sweep: the pi parts of all n! pi
-    come from one chunked gather; c is computed for every sigma at once and
-    sorted, and each pi's constrained minimum is the first sorted sigma that
-    differs from it in every slot, resolved for all pi together by scanning
-    the sorted sigma in growing chunks. Heuristic mode (n <= 16) runs a
-    seeded multi-restart 2-swap local search on pi with the same sigma
-    minimum (above n = 8, from the subset DP of assignment_min_forbidden).
-    Tie rules: pi is the lexicographically first within 1e-12 of the
-    minimum (heuristic: of the restarts' results); sigma is then the
-    lexicographically first within 1e-12 of pi's constrained minimum.
-    Returns an EntryCertificate when the minimum is < -1e-10, else None.
+    Exact mode (n <= 8) is one vectorised sweep, the stack-of-one case of
+    the sweep ``scan_criteria`` runs over a whole grid: the pi parts of all
+    n! pi come from one chunked gather; c is computed for every sigma at
+    once and sorted, and each pi's constrained minimum is the first sorted
+    sigma that differs from it in every slot, resolved for all pi together
+    by scanning the sorted sigma in growing chunks. Heuristic mode (n <= 16)
+    runs a seeded multi-restart 2-swap local search on pi with the same
+    sigma minimum (above n = 8, from the subset DP of
+    assignment_min_forbidden). Tie rules: pi is the lexicographically first
+    within 1e-12 of the minimum (heuristic: of the restarts' results); sigma
+    is then the lexicographically first within 1e-12 of pi's constrained
+    minimum. Returns an EntryCertificate when the minimum is < -1e-10, else
+    None.
     """
     dims = rho.dims
     if not 2 <= n <= min(dims.dim_h, dims.dim_k):
@@ -511,30 +601,50 @@ def entry_search(rho: DensityMatrix, n: int, mode: str = "exact", seed: int = 0)
         raise ValueError(f"exact mode supports n <= {EXACT_MAX_N}, got {n}; use heuristic")
     if n > ASSIGNMENT_MAX_N:
         raise ValueError(f"heuristic mode supports n <= {ASSIGNMENT_MAX_N}, got {n}")
-    costs = _EntryCosts(_entry_tables(rho, n), n)
     if mode == "exact":
-        cells, masks = _perm_table(n)
-        totals = costs.pi_parts(cells) + costs.sigma_mins(cells, masks)
-        best_total = totals.min()
-        w = int(np.argmax(totals <= best_total + 1e-12))
-        best_pi = tuple(int(v) + 1 for v in cells[w] // n)
-    else:
-        best_pi, best_total = _heuristic_pi(costs, n, seed)
-    # The certificate value below re-sums the same entries, so on unit-trace
-    # input it differs from best_total by rounding only (~n^2 eps); this far
-    # above FIRE_TOL it cannot fire.
-    if best_total >= FIRE_TOL + 1e-9:
-        return None
-    pi = Permutation(best_pi)
-    sigma = Permutation(costs.best_sigma(np.array(best_pi) - 1))
-    value = entry_value_perms(rho, n, pi, sigma)
-    if not value < FIRE_TOL:
-        return None
-    k_idx = tuple(basis_index(pi(i), i, dims, K_MAJOR) for i in range(1, n + 1))
-    h_idx = tuple(basis_index(sigma(i), i, dims, K_MAJOR) for i in range(1, n + 1))
-    kappa = sigma.inverse().compose(pi)
-    spec = WitnessSpec(n, kappa, Permutation.identity(n), pi, dims)
-    return EntryCertificate(n, k_idx, h_idx, pi, sigma, value, spec)
+        return _entry_sweep([rho], rho.mat[None], n)[0]
+    costs = _EntryCosts(_entry_tables(rho.mat[None], dims, rho.ordering, n), n)
+    best_pi, best_total = _heuristic_pi(costs, n, seed)
+    return _certify([rho], n, costs, np.array([best_pi]) - 1, np.array([best_total]))[0]
+
+
+# scan_criteria stacks at most this many states at a time, so that its
+# stacks (about 25 kB a state at 16 x 16) stay bounded on long grids.
+_SCAN_BLOCK = 512
+
+
+def scan_criteria(rhos):
+    """PPT, CCNR and the exact entry criterion on a list of states at once.
+
+    The states share their dims (min(dh, dk) <= 8, the exact sweep's bound)
+    and their ordering. Returns one (ppt_min_eig, ccnr_trace_norm,
+    entry_value) triple per state, equal to ppt_check, ccnr_check and the
+    least certificate value of entry_search(rho, n, mode="exact") over
+    n = 2..min(dh, dk) (None when no n certifies) on that state alone. Each
+    block of up to 512 states costs one batched eigvalsh, one batched SVD
+    and one exact sweep per n.
+    """
+    if not rhos:
+        return []
+    dims, ordering = rhos[0].dims, rhos[0].ordering
+    if any(rho.dims != dims or rho.ordering != ordering for rho in rhos):
+        raise ValueError("scan_criteria needs states of one dims and one ordering")
+    if min(dims.dim_h, dims.dim_k) > EXACT_MAX_N:
+        raise ValueError(f"scan_criteria supports min(dims) <= {EXACT_MAX_N}")
+    return [row for a in range(0, len(rhos), _SCAN_BLOCK)
+            for row in _scan_block(rhos[a:a + _SCAN_BLOCK])]
+
+
+def _scan_block(rhos):
+    mats = np.stack([rho.mat for rho in rhos])
+    best = [None] * len(rhos)
+    for n in range(2, min(rhos[0].dims.dim_h, rhos[0].dims.dim_k) + 1):
+        for r, cert in enumerate(_entry_sweep(rhos, mats, n)):
+            if cert is not None and (best[r] is None or cert.value < best[r]):
+                best[r] = cert.value
+    ppt = _ppt_mins(np.stack([states.partial_transpose_first(rho) for rho in rhos]))
+    ccnr = _ccnr_norms(np.stack([states.realignment(rho) for rho in rhos]))
+    return zip(ppt, ccnr, best)
 
 
 def pure_check(psi: PureState):

@@ -5,9 +5,11 @@ trace norm, all on plain ``numpy`` arrays (``complex128``). Eigenvalues come
 from LAPACK through ``np.linalg.eigvalsh``/``eigh`` on the symmetrised input,
 singular values from ``np.linalg.svd`` on the matrix itself (never from the
 Gram matrix a^dagger a, whose rounding noise would turn a zero singular value
-into ~1e-8). This module owns the input checks (finite, square, Hermitian)
-and the descending order; a LAPACK failure surfaces as
-``np.linalg.LinAlgError``.
+into ~1e-8). The ``*_stack`` forms take an (R, m, n) stack and make one
+batched LAPACK call for all R matrices; the single-matrix forms are their
+stack-of-one case. This module owns the input checks (finite, square,
+Hermitian, per matrix) and the descending order; a LAPACK failure surfaces
+as ``np.linalg.LinAlgError``.
 
 Indices in user-facing arguments are 1-based throughout the package, matching
 the usual ket labeling |1>, |2>, ...; everything internal is 0-based numpy.
@@ -26,8 +28,10 @@ __all__ = [
     "is_hermitian",
     "frobenius",
     "hermitian_eigenvalues",
+    "hermitian_eigenvalues_stack",
     "hermitian_eigensystem",
     "singular_values",
+    "singular_values_stack",
     "trace_norm",
 ]
 
@@ -63,10 +67,11 @@ class Spectrum:
         return float(self.values[-1])
 
 
-def _as_matrix(a) -> np.ndarray:
+def _as_matrix(a, ndim=2) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
+    if m.ndim != ndim:
+        what = "matrix" if ndim == 2 else "stack of matrices"
+        raise ValueError(f"expected a {ndim}-d {what}, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("matrix contains non-finite entries")
     return m
@@ -106,19 +111,29 @@ def _error_bound(norm: float, order: int) -> float:
     return order * np.finfo(float).eps * norm
 
 
-def _hermitian_input(a):
-    """Checked square Hermitian input, symmetrised, and its Frobenius norm."""
-    m = _as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got {m.shape}")
-    norm = float(np.linalg.norm(m))
-    defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if defect > 1e-9 * max(norm, 1e-300):
+def _hermitian_input(m):
+    """Symmetrised copy of a checked (R, n, n) stack of Hermitian matrices,
+    and the Frobenius norm of each."""
+    if m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected a square matrix, got {m.shape[-2:]}")
+    norm = np.linalg.norm(m, axis=(-2, -1))
+    mh = m.conj().swapaxes(-2, -1)
+    defect = np.abs(m - mh).max(axis=(-2, -1), initial=0.0)
+    bad = defect > 1e-9 * np.maximum(norm, 1e-300)
+    if bad.any():
+        i = bad.argmax()
         raise ValueError(
-            f"matrix is not Hermitian: max |a - a^dagger| = {defect:.3e} "
-            f"exceeds 1e-9 * ||a|| = {1e-9 * norm:.3e}"
+            f"matrix is not Hermitian: max |a - a^dagger| = {defect[i]:.3e} "
+            f"exceeds 1e-9 * ||a|| = {1e-9 * norm[i]:.3e}"
         )
-    return 0.5 * (m + m.conj().T), norm
+    return 0.5 * (m + mh), norm
+
+
+def _eigenvalues(m) -> list:
+    m, norm = _hermitian_input(m)
+    vals = np.linalg.eigvalsh(m)[:, ::-1]
+    tol = _error_bound(norm, m.shape[-1])
+    return [Spectrum(v, tolerance=t) for v, t in zip(vals, tol.tolist())]
 
 
 def hermitian_eigenvalues(a) -> Spectrum:
@@ -127,9 +142,13 @@ def hermitian_eigenvalues(a) -> Spectrum:
     Non-Hermitian input raises ValueError; a LAPACK failure raises
     ``np.linalg.LinAlgError``.
     """
-    m, norm = _hermitian_input(a)
-    vals = np.linalg.eigvalsh(m)[::-1]
-    return Spectrum(vals, tolerance=_error_bound(norm, m.shape[0]))
+    return _eigenvalues(_as_matrix(a)[None])[0]
+
+
+def hermitian_eigenvalues_stack(a) -> list:
+    """:func:`hermitian_eigenvalues` of each matrix of an (R, n, n) stack,
+    from one batched LAPACK call; each matrix is checked on its own."""
+    return _eigenvalues(_as_matrix(a, ndim=3))
 
 
 def hermitian_eigensystem(a):
@@ -138,9 +157,15 @@ def hermitian_eigensystem(a):
     Returns ``(spectrum, vectors)`` with the k-th column of ``vectors`` the
     unit eigenvector for ``spectrum.values[k]``.
     """
-    m, norm = _hermitian_input(a)
-    vals, vecs = np.linalg.eigh(m)
-    return Spectrum(vals[::-1], tolerance=_error_bound(norm, m.shape[0])), vecs[:, ::-1]
+    m, norm = _hermitian_input(_as_matrix(a)[None])
+    vals, vecs = np.linalg.eigh(m[0])
+    return Spectrum(vals[::-1], tolerance=_error_bound(norm[0], m.shape[-1])), vecs[:, ::-1]
+
+
+def _singular_values(m) -> list:
+    vals = np.linalg.svd(m, compute_uv=False)
+    tol = _error_bound(np.linalg.norm(m, axis=(-2, -1)), max(m.shape[1:]))
+    return [Spectrum(v, tolerance=t) for v, t in zip(vals, tol.tolist())]
 
 
 def singular_values(a) -> Spectrum:
@@ -149,9 +174,13 @@ def singular_values(a) -> Spectrum:
     Only values are produced (no vectors), which is all the trace norm and
     Schmidt coefficients need.
     """
-    m = _as_matrix(a)
-    vals = np.linalg.svd(m, compute_uv=False)
-    return Spectrum(vals, tolerance=_error_bound(float(np.linalg.norm(m)), max(m.shape)))
+    return _singular_values(_as_matrix(a)[None])[0]
+
+
+def singular_values_stack(a) -> list:
+    """:func:`singular_values` of each matrix of an (R, m, n) stack, from one
+    batched LAPACK call."""
+    return _singular_values(_as_matrix(a, ndim=3))
 
 
 def trace_norm(a) -> float:

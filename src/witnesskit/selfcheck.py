@@ -231,9 +231,10 @@ def check_pure_universality():
 
 
 def _double_enumeration(rho, n):
-    """Full (pi, sigma) enumeration with the searcher's tie rules:
-    sequential strict improvement over lexicographic pi, then the
-    lexicographically first sigma within 1e-12 of the exact optimum."""
+    """Full (pi, sigma) enumeration with the searcher's tie rules: the
+    lexicographically first pi within 1e-12 of the minimum over all pi,
+    then the lexicographically first sigma within 1e-12 of that pi's
+    constrained optimum."""
     perms = list(itertools.permutations(range(1, n + 1)))
 
     def sigma_values(p):
@@ -244,11 +245,9 @@ def _double_enumeration(rho, n):
             out.append((s, detection.entry_value_perms(rho, n, Permutation(p), Permutation(s))))
         return out
 
-    best_pi, best_total = None, np.inf
-    for p in perms:
-        tot = min(v for _, v in sigma_values(p))
-        if tot < best_total - 1e-12:
-            best_pi, best_total = p, tot
+    totals = [min(v for _, v in sigma_values(p)) for p in perms]
+    best_total = min(totals)
+    best_pi = next(p for p, t in zip(perms, totals) if t <= best_total + 1e-12)
     pairs = sigma_values(best_pi)
     vmin = min(v for _, v in pairs)
     sig_img = next(s for s, v in pairs if v <= vmin + 1e-12)

@@ -329,11 +329,14 @@ def realignment(rho: DensityMatrix) -> np.ndarray:
     Working from the h_major block form rho = [A_ik] with
     A_ik[j, l] = <i,j'| rho |k,l'>, the output row is indexed by (i, k) with
     k fastest and the column by (j, l) with l fastest:
-    out[(i,k), (j,l)] = A_ik[j, l].
+    out[(i,k), (j,l)] = A_ik[j, l]. Both orderings are read in place.
     """
-    h = reorder(rho, H_MAJOR)
     dh, dk = rho.dims.dim_h, rho.dims.dim_k
-    return h.mat.reshape(dh, dk, dh, dk).transpose(0, 2, 1, 3).reshape(dh * dh, dk * dk)
+    if rho.ordering == H_MAJOR:
+        out = rho.mat.reshape(dh, dk, dh, dk).transpose(0, 2, 1, 3)
+    else:
+        out = rho.mat.reshape(dk, dh, dk, dh).transpose(1, 3, 0, 2)
+    return out.reshape(dh * dh, dk * dk)
 
 
 def random_separable(dims: BipartiteDims, terms: int, seed: int) -> DensityMatrix:

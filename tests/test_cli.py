@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -7,7 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from witnesskit import cli, state_from_dict, witness_from_dict
+from witnesskit import (
+    Permutation,
+    ccnr_check,
+    cli,
+    entry_search,
+    entry_value_perms,
+    example_34,
+    example_35,
+    ppt_check,
+    state_from_dict,
+    witness_from_dict,
+)
+from witnesskit.detection import CCNR_TOL, FIRE_TOL, PPT_TOL
 
 
 def run(argv):
@@ -290,6 +303,109 @@ def test_scan_vary_requires_range(capsys):
     assert run(["scan", "--family", "e34", "--vary", "q1"]) == 2
 
 
+def _fmt(vals):
+    return ",".join(repr(float(v)) for v in vals)
+
+
+def _seeded_grid(family, seed):
+    """A seeded q2 sweep holding firing and silent points, as scan argv plus
+    the grid parameters the command builds from it."""
+    rng = np.random.default_rng(seed)
+    if family == "e34":
+        q1 = rng.uniform(0.05, 0.4)
+        lo, hi = 0.02, 0.95 - q1
+        grid = np.linspace(lo, hi, 6)
+        amps = np.sqrt(np.min(grid * (1 - q1 - grid))) * rng.uniform(0.0, 0.95, 3)
+        q = (q1, lo, 1 - q1 - lo)
+    else:
+        # e35's entry value vanishes at q2 = q1, the middle of this sweep
+        q1, q3 = rng.uniform(0.05, 0.15), rng.uniform(0.2, 0.35)
+        lo, hi = 0.0, 2 * q1
+        amps = np.sqrt(q3 * (1 - q1 - q3 - hi)) * rng.uniform(0.0, 0.5, 4)
+        q = (q1, lo, q3, 1 - q1 - lo - q3)
+    argv = ["scan", "--family", family, "--q", _fmt(q),
+            "--abc" if family == "e34" else "--abcd", _fmt(amps),
+            "--vary", "q2", "--range", f"{lo!r},{hi!r},{6 if family == 'e34' else 5}"]
+    qnames, anames = cli._SCAN_PARAMS[family]
+    base = dict(zip(qnames, q)) | dict(zip(anames, amps))
+    points = []
+    for v in np.linspace(lo, hi, 6 if family == "e34" else 5):
+        params = dict(base, q2=float(v))
+        params[qnames[-1]] = 1.0 - sum(params[name] for name in qnames[:-1])
+        points.append(params)
+    return argv, points
+
+
+def _point_reference(family, params):
+    """One scan row recomputed from public single-state calls; the entry
+    value also from a full enumeration of the (pi, sigma) pairs."""
+    rho = example_34(*params.values()) if family == "e34" else example_35(*params.values())
+    ppt, ccnr = ppt_check(rho), ccnr_check(rho)
+    certs = [entry_search(rho, n, mode="exact") for n in range(2, rho.dims.dim_h + 1)]
+    values = [c.value for c in certs if c is not None]
+    best = min(values) if values else None
+    enumerated = min(
+        entry_value_perms(rho, n, Permutation(p), Permutation(s))
+        for n in range(2, rho.dims.dim_h + 1)
+        for p in itertools.permutations(range(1, n + 1))
+        for s in itertools.permutations(range(1, n + 1))
+        if all(a != b for a, b in zip(p, s))
+    )
+    fired = ppt < PPT_TOL or ccnr > 1.0 + CCNR_TOL or best is not None
+    return ppt, ccnr, best, "entangled" if fired else "undetected", enumerated
+
+
+@pytest.mark.parametrize("family, seed", [("e34", 0), ("e34", 2), ("e35", 1), ("e35", 3)])
+def test_scan_grid_rows_match_per_point_reference(family, seed, tmp_path):
+    argv, points = _seeded_grid(family, seed)
+    out = tmp_path / "scan.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == len(points)
+    for row, params in zip(rows, points):
+        ppt, ccnr, best, verdict, enumerated = _point_reference(family, params)
+        assert row["ppt_min_eig"] == ppt and row["ccnr_trace_norm"] == ccnr
+        assert row["entry_value"] == best and row["verdict"] == verdict
+        # the search is exact: it fires iff some pair's value fires
+        assert (best is not None) == (enumerated < FIRE_TOL)
+        if best is not None:
+            assert abs(best - enumerated) <= 1e-12
+    assert {r["verdict"] for r in rows} == {"entangled", "undetected"}
+    assert {r["entry_value"] is None for r in rows} == {True, False}
+
+
+def _scan_rows(argv, capsys):
+    assert run(argv) == 0
+    return json.loads(capsys.readouterr().out)["rows"]
+
+
+def test_scan_one_point_and_one_point_grid(capsys):
+    base = ["scan", "--family", "e34", "--q", "0.2,0.1,0.7", "--abc", "0.05,0.05,0.05"]
+    (point,) = _scan_rows(base, capsys)
+    (single,) = _scan_rows(base + ["--vary", "q2", "--range", "0.1,0.3,1"], capsys)
+    for row in (point, single):
+        params = {k: row[k] for k in ("q1", "q2", "q3", "a", "b", "c")}
+        ppt, ccnr, best, verdict, _ = _point_reference("e34", params)
+        assert (row["ppt_min_eig"], row["ccnr_trace_norm"], row["entry_value"]) == (ppt, ccnr, best)
+        assert row["verdict"] == verdict == "entangled"
+    assert single["q2"] == 0.1
+
+
+def test_scan_invalid_third_point_exits_2_before_any_criterion(tmp_path, monkeypatch, capsys):
+    def no_criteria(rhos):
+        raise AssertionError("criteria ran on an invalid grid")
+
+    monkeypatch.setattr(cli, "scan_criteria", no_criteria)
+    out = tmp_path / "scan.csv"
+    # |a|^2 = 0.1225 against q2 * q3 = 0.16, 0.15, 0.12, ... along the sweep
+    assert run(["scan", "--family", "e34", "--q", "0.2,0.4,0.4", "--abc", "0.35,0,0",
+                "--vary", "q2", "--range", "0.4,0.0,5", "--format", "csv",
+                "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "grid point q2 = 0.2 is invalid" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 # ----------------------------------------------------------------- parsing
 
 def test_version_flag(capsys):
@@ -317,3 +433,55 @@ def test_unknown_command_exits_2():
 def test_wrong_arity_q_exits_2(capsys):
     assert run(["example", "e34", "--q", "0.2,0.8"]) == 2
     assert "3 comma-separated" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_gives_fresh_parser_output(tmp_path, capsys):
+    # detect, scan and example back to back on the shared parser, then each
+    # on a parser built afresh: nothing one command parses may leak into
+    # the next
+    state = tmp_path / "state.json"
+    assert run(["example", "max_ent", "--n", "2", "--out", str(state)]) == 0
+    commands = [
+        ["detect", str(state)],
+        ["scan", "--family", "e35", "--vary", "q1", "--range", "0.1,0.3,3"],
+        ["example", "pure", "--dims", "2,3"],
+    ]
+
+    def output(argv):
+        assert run(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload.pop("timings_ms", None)
+        return payload
+
+    shared = [output(argv) for argv in commands]
+    fresh = []
+    for argv in commands:
+        cli.build_parser.cache_clear()
+        fresh.append(output(argv))
+    assert shared == fresh
+
+
+def test_import_cli_leaves_selfcheck_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, witnesskit.cli; print('witnesskit.selfcheck' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_selfcheck_command_runs_the_suite(monkeypatch, capsys):
+    from witnesskit import selfcheck
+
+    def fake_run_all(printer):
+        printer("[1] stub ok")
+        return [("stub", True, "ok", 0.0)]
+
+    monkeypatch.setattr(selfcheck, "run_all", fake_run_all)
+    assert run(["selfcheck"]) == 0
+    assert capsys.readouterr().out == "[1] stub ok\n"

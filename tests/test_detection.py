@@ -37,7 +37,7 @@ from witnesskit import (
     witness_kps,
     witness_value,
 )
-from witnesskit import detection
+from witnesskit import detection, selfcheck
 
 D22 = BipartiteDims(2, 2)
 D33 = BipartiteDims(3, 3)
@@ -328,7 +328,7 @@ def test_entry_sweep_matches_recorded_certificates(n, kind, seed, expected):
         assert abs(cert.value - value) < 1e-12
 
 
-def test_entry_sweep_pi_tie_rule():
+def _tie_chain_state():
     # A mixture of maximally entangled vectors on three disjoint cyclic
     # shifts tau_k of 4 (x) 4, weights p_k; the fourth shift carries no
     # weight, so each tau_k scores -p_k with sigma = tau_3. The weights step
@@ -343,9 +343,98 @@ def test_entry_sweep_pi_tie_rule():
         v = np.zeros(16)
         v[(np.arange(4) + k) % 4 * 4 + np.arange(4)] = 0.5
         m += p[k] * np.outer(v, v)
-    cert = entry_search(DensityMatrix(D44, H_MAJOR, m), 4, mode="exact")
+    return DensityMatrix(D44, H_MAJOR, m), p
+
+
+def test_entry_sweep_pi_tie_rule():
+    rho, p = _tie_chain_state()
+    cert = entry_search(rho, 4, mode="exact")
     assert cert.pi1.image == (2, 3, 4, 1) and cert.sigma1.image == (4, 1, 2, 3)
     assert abs(cert.value + p[1]) < 1e-14
+
+
+def test_selfcheck_enumeration_follows_the_pi_tie_rule():
+    # check 8's reference enumerates every (pi, sigma) pair; on the chain
+    # of near-ties it must pick the pi the searcher's documented rule picks
+    rho, p = _tie_chain_state()
+    pi, sigma, value = selfcheck._double_enumeration(rho, 4)
+    assert pi == (2, 3, 4, 1) and sigma == (4, 1, 2, 3)
+    assert abs(value + p[1]) < 1e-14
+
+
+def _stack_state(dh, dk, seed, ordering):
+    # Ginibre states, two in three mixed with a maximally entangled vector
+    # of rank r on labels 1..r, so that a stack holds firing and silent
+    # states at every n
+    rng = np.random.default_rng(seed)
+    d = dh * dk
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    if seed % 3:
+        r = 2 + seed % (min(dh, dk) - 1)
+        v = np.zeros(d)
+        v[rng.permutation(r) * dk + rng.permutation(r)] = 1 / np.sqrt(r)
+        t = rng.uniform(0.3, 0.9)
+        m = t * np.outer(v, v) + (1 - t) * m
+    return reorder(DensityMatrix(BipartiteDims(dh, dk), H_MAJOR, m), ordering)
+
+
+def _costs(rhos, n):
+    mats = np.stack([rho.mat for rho in rhos])
+    return detection._EntryCosts(detection._entry_tables(mats, rhos[0].dims, rhos[0].ordering, n), n)
+
+
+@pytest.mark.parametrize("ordering", [H_MAJOR, K_MAJOR])
+@pytest.mark.parametrize("dh, dk", [(3, 3), (4, 4), (3, 4)])
+def test_entry_sweep_rows_match_single_state_search(dh, dk, ordering):
+    rhos = [_stack_state(dh, dk, 100 * dh + 10 * dk + s, ordering) for s in range(12)]
+    fired = 0
+    for n in range(2, min(dh, dk) + 1):
+        # every (state, pi) total of the stack, before any certificate
+        cells, masks = detection._perm_table(n)
+        stack = _costs(rhos, n)
+        totals = stack.pi_parts(cells) + stack.sigma_mins(cells, masks)
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for rho, row in zip(rhos, totals):
+            one = _costs([rho], n)
+            assert np.array_equal(row, one.pi_parts(cells)[0] + one.sigma_mins(cells, masks)[0])
+            enumerated = [
+                min(entry_value_perms(rho, n, Permutation(p), Permutation(s))
+                    for s in perms if all(a != b for a, b in zip(p, s)))
+                for p in perms
+            ]
+            assert np.allclose(row, enumerated, rtol=0, atol=1e-12)
+        swept = detection._entry_sweep(rhos, np.stack([rho.mat for rho in rhos]), n)
+        assert len(swept) == len(rhos)
+        for rho, cert in zip(rhos, swept):
+            single = entry_search(rho, n, mode="exact")
+            assert (cert is None) == (single is None)
+            if cert is not None:
+                fired += 1
+                assert (cert.pi1, cert.sigma1) == (single.pi1, single.sigma1)
+                assert cert.value == single.value
+                assert cert == single
+    assert 0 < fired < len(rhos) * (min(dh, dk) - 1)
+
+
+def test_scan_criteria_rows_and_input_checks(monkeypatch):
+    rhos = [_stack_state(3, 4, 340 + s, K_MAJOR) for s in range(6)]
+    rows = detection.scan_criteria(rhos)
+    assert len(rows) == len(rhos)
+    for rho, (ppt, ccnr, best) in zip(rhos, rows):
+        assert ppt == ppt_check(rho) and ccnr == ccnr_check(rho)
+        certs = [entry_search(rho, n) for n in (2, 3)]
+        values = [c.value for c in certs if c is not None]
+        assert best == (min(values) if values else None)
+    # a list longer than one block runs block by block, with the same rows
+    monkeypatch.setattr(detection, "_SCAN_BLOCK", 4)
+    assert detection.scan_criteria(rhos) == rows
+    assert detection.scan_criteria([]) == []
+    with pytest.raises(ValueError, match="one dims"):
+        detection.scan_criteria([rhos[0], _stack_state(3, 3, 1, K_MAJOR)])
+    with pytest.raises(ValueError, match="one ordering"):
+        detection.scan_criteria([rhos[0], reorder(rhos[1], H_MAJOR)])
 
 
 @pytest.mark.parametrize("n, kind, seed", [(3, "low_rank", 301), (5, "low_rank", 501)])
@@ -356,12 +445,12 @@ def test_entry_heuristic_dp_route_matches_sorted_sweep(monkeypatch, n, kind, see
     # on every pi and on the certificate.
     rho = _pin_state(n, kind, seed)
     cells, masks = detection._perm_table(n)
-    sweep = detection._EntryCosts(detection._entry_tables(rho, n), n)
-    swept = sweep.sigma_mins(cells, masks)
+    sweep = _costs([rho], n)
+    swept = sweep.sigma_mins(cells, masks)[0]
     expected = entry_search(rho, n, mode="heuristic", seed=3)
     monkeypatch.setattr(detection, "EXACT_MAX_N", n - 1)
-    dp = detection._EntryCosts(detection._entry_tables(rho, n), n)
-    assert np.allclose(dp.sigma_mins(cells), swept, rtol=0, atol=1e-14)
+    dp = _costs([rho], n)
+    assert np.allclose(dp.sigma_mins(cells)[0], swept, rtol=0, atol=1e-14)
     cert = entry_search(rho, n, mode="heuristic", seed=3)
     assert expected is not None and cert is not None
     assert (cert.pi1, cert.sigma1, cert.value) == (expected.pi1, expected.sigma1, expected.value)

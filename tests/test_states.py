@@ -195,6 +195,15 @@ def test_realignment_entrywise_rule():
                     assert r[i * dh + k, j * dk + l] == rho.mat[i * dk + j, k * dk + l]
 
 
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+def test_realignment_reads_either_ordering_in_place(dims):
+    # the k_major carrier is read without reordering; the entries must be
+    # exactly those of the h_major rule above, on asymmetric dims too
+    rho = _ginibre(BipartiteDims(*dims), seed=7)
+    expected = realignment(rho)
+    assert np.array_equal(realignment(reorder(rho, K_MAJOR)), expected)
+
+
 def test_realignment_35_against_tabulation():
     # the reference tabulation uses the adjoint layout (rows (j,l), columns
     # (i,k), entries conjugated); same singular values either way
