@@ -61,8 +61,6 @@ from .detection import (
     DetectionReport,
     DistillCertificate,
     EntryCertificate,
-    InfeasibleAssignmentError,
-    assignment_min_forbidden,
     ccnr_check,
     detect,
     distill_search,

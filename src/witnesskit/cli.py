@@ -8,11 +8,14 @@ Commands::
     witnesskit scan ...                 tabulate criteria over a parameter grid
     witnesskit selfcheck                run the acceptance suite
 
-``scan`` builds and domain-checks every grid state before any criterion
-runs, then evaluates the grid as one stacked pass (``scan_criteria``: one
-batched eigvalsh, one batched SVD, one exact entry sweep per n, in blocks
-of 512 points); its rows are those of evaluating each point alone. The parser is built once per
-process and the acceptance suite is imported only by ``selfcheck``.
+``detect`` and ``scan`` share one criteria pass (``scan_criteria``):
+``detect`` runs it on one state and adds the distill search; ``scan``
+builds and domain-checks every grid state before any criterion runs, then
+runs the grid through it as one stack (one batched eigvalsh of the states
+and one of their partial transposes, one batched SVD, one exact entry sweep
+per n, in blocks of 512 points) and tabulates the values and verdicts it
+reports. The parser is built once per process and the acceptance suite is
+imported only by ``selfcheck``.
 
 Exit codes: 0 the command ran (verdicts never drive exit codes), 2 input or
 validation error, 3 internal numerical failure. JSON output is byte-stable
@@ -32,7 +35,7 @@ import sys
 import numpy as np
 
 from . import __version__, states
-from .detection import CCNR_TOL, DetectConfig, PPT_TOL, detect, report_to_dict, scan_criteria
+from .detection import DetectConfig, detect, report_to_dict, scan_criteria
 from .states import BipartiteDims, DomainError, FormatError, H_MAJOR, ORDERINGS
 from .witnesses import Permutation, WitnessSpec, rank4_witness, witness_kps, witness_to_dict
 
@@ -93,10 +96,7 @@ def _dims(text: str) -> BipartiteDims:
 
 def cmd_detect(args) -> int:
     seed = _resolve_seed(args.seed)
-    config = DetectConfig(
-        n_cap=args.n_cap, exact_max=args.exact_max,
-        distill_restarts=args.restarts, seed=seed,
-    )
+    config = DetectConfig(n_cap=args.n_cap, distill_restarts=args.restarts, seed=seed)
     rho = states.state_from_dict(_load_json(args.state))
     report = detect(rho, config)
     payload = report_to_dict(report)
@@ -104,7 +104,6 @@ def cmd_detect(args) -> int:
     payload["config"] = {
         "command": "detect",
         "n_cap": config.n_cap,
-        "exact_max": config.exact_max,
         "distill_restarts": config.distill_restarts,
         "seed": config.seed,
         "dim_h": rho.dims.dim_h,
@@ -245,14 +244,13 @@ def cmd_scan(args) -> int:
             grid.append(params)
 
     rows = []
-    for params, (ppt, ccnr, best) in zip(grid, scan_criteria(rhos)):
-        fired = ppt < PPT_TOL or ccnr > 1.0 + CCNR_TOL or best is not None
+    for params, report in zip(grid, scan_criteria(rhos)):
         row = {k: round(v, 15) for k, v in params.items()}
         row.update(
-            ppt_min_eig=ppt,
-            ccnr_trace_norm=ccnr,
-            entry_value=best,
-            verdict="entangled" if fired else "undetected",
+            ppt_min_eig=report.ppt_min_eig,
+            ccnr_trace_norm=report.ccnr_norm,
+            entry_value=None if report.entry_best is None else report.entry_best.value,
+            verdict=report.verdict,
         )
         rows.append(row)
 
@@ -306,9 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("detect", help="run every criterion against a state file")
     d.add_argument("state", help="state JSON path, or - for stdin")
-    d.add_argument("--n-cap", type=int, default=6, help="largest entry-search block (default 6)")
-    d.add_argument("--exact-max", type=int, default=6,
-                   help="exact enumeration up to this n, heuristic beyond (default 6)")
+    d.add_argument("--n-cap", type=int, default=6,
+                   help="largest exact entry-search block, 2..8 (default 6)")
     d.add_argument("--restarts", type=int, default=20,
                    help="distill search restarts, 1..1000 (default 20)")
     d.add_argument("--seed", type=int, default=None, help="search seed (default WITNESSKIT_SEED or 0)")

@@ -6,10 +6,10 @@ Four criteria, each sufficient for entanglement and silent otherwise:
 * ``ccnr_check`` -- realignment trace norm above 1.
 * ``entry_search`` -- minimizes a value read off n diagonal entries, n more
   diagonal entries, and the off-diagonal entries coupling the first set,
-  over permutation choices. Exact mode scores every permutation pair in
-  one vectorised numpy sweep (no assignment solver, no scipy). A negative
-  minimum comes with an index certificate and the permutation witness
-  realizing the same value.
+  over permutation choices, for n <= 8. Exact mode scores every permutation
+  pair in one vectorised numpy sweep (no assignment solver, no scipy). A
+  negative minimum comes with an index certificate and the permutation
+  witness realizing the same value.
 * ``distill_search`` -- looks for orthonormal pairs (x, z) in H and (y, w)
   in K making a rotated rank-4 witness negative; success additionally
   certifies 1-distillability. All restarts are refined together as one
@@ -17,10 +17,13 @@ Four criteria, each sufficient for entanglement and silent otherwise:
   rule, so the batch finds what refining the seeds one by one would, up
   to rounding.
 
-``scan_criteria`` runs PPT, CCNR and the exact entry sweep on a stack of
-same-dims states at once: one batched eigvalsh, one batched SVD and one
-sweep per n for each block of up to 512 states. ``ppt_check``, ``ccnr_check`` and exact ``entry_search`` are
-the stack-of-one case of those same kernels.
+``scan_criteria`` is the one criteria pass: it runs PPT, CCNR and the
+exact entry sweep on a stack of same-dims states at once (one batched
+eigvalsh of the states, one of their partial transposes, one batched SVD
+and one sweep per n for each block of up to 512 states) and decides which
+criteria fire. ``detect`` is that pass on a stack of one plus
+``distill_search``. ``ppt_check``, ``ccnr_check`` and exact
+``entry_search`` are the stack-of-one case of the same kernels.
 
 The searches are deterministic for a fixed seed. Certificates are always
 re-verified against the witness layer before being returned, so a returned
@@ -43,10 +46,8 @@ __all__ = [
     "FIRE_TOL",
     "MAX_RESTARTS",
     "EXACT_MAX_N",
-    "ASSIGNMENT_MAX_N",
     "PPT_TOL",
     "CCNR_TOL",
-    "InfeasibleAssignmentError",
     "EntryCertificate",
     "DistillCertificate",
     "DetectConfig",
@@ -56,7 +57,6 @@ __all__ = [
     "entry_value_indices",
     "entry_value_perms",
     "indices_to_perms",
-    "assignment_min_forbidden",
     "entry_search",
     "scan_criteria",
     "pure_check",
@@ -71,17 +71,15 @@ FIRE_TOL = -1e-10
 # The distill search refines all its seeds as one stacked batch, so it
 # bounds the batch it allocates.
 MAX_RESTARTS = 1000
+# The entry search enumerates the n! permutations pi, so n stops here.
+EXACT_MAX_N = 8
 PPT_TOL = -1e-9
 CCNR_TOL = 1e-9
 
 
-def _check_restarts(value, name):
-    if not isinstance(value, (int, np.integer)) or not 1 <= value <= MAX_RESTARTS:
-        raise ValueError(f"{name} must be an integer in 1..{MAX_RESTARTS}, got {value!r}")
-
-
-class InfeasibleAssignmentError(ValueError):
-    """No permutation avoids the forbidden cells."""
+def _check_int(value, name, lo, hi):
+    if not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
+        raise ValueError(f"{name} must be an integer in {lo}..{hi}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -120,13 +118,13 @@ class DistillCertificate:
 
 @dataclass(frozen=True)
 class DetectConfig:
-    n_cap: int = 6           # largest block size tried by the entry search
-    exact_max: int = 6       # exact enumeration up to here, heuristic beyond
+    n_cap: int = 6           # largest block size tried by the entry search, <= 8
     distill_restarts: int = 20
     seed: int = 0
 
     def __post_init__(self):
-        _check_restarts(self.distill_restarts, "distill_restarts")
+        _check_int(self.n_cap, "n_cap", 2, EXACT_MAX_N)
+        _check_int(self.distill_restarts, "distill_restarts", 1, MAX_RESTARTS)
 
 
 @dataclass(frozen=True)
@@ -153,8 +151,7 @@ def ccnr_check(rho: DensityMatrix) -> float:
 def _ppt_mins(pt) -> list:
     """Minimum eigenvalue of each matrix of an (R, d, d) stack of partial
     transposes, from one batched eigvalsh."""
-    spectra = numkit.hermitian_eigenvalues_stack(0.5 * (pt + pt.conj().swapaxes(1, 2)))
-    return [s.min for s in spectra]
+    return [s.min for s in numkit.hermitian_eigenvalues_stack(pt)]
 
 
 def _ccnr_norms(realigned) -> list:
@@ -271,81 +268,8 @@ def indices_to_perms(k, h, n: int, dims: BipartiteDims = None):
 
 # ------------------------------------------------------------ entry search
 
-# The subset DP behind assignment_min_forbidden holds 2^n values per problem.
-ASSIGNMENT_MAX_N = 16
-# Exact entry search enumerates the n! permutations pi.
-EXACT_MAX_N = 8
 # Elements one vectorised gather of the entry search may hold at a time.
 _GATHER_ELEMS = 1 << 18
-
-
-@functools.cache
-def _subset_levels(n):
-    """For each slot i: the masks u of i used values, the free values f of
-    each u (one row per u) and the masks u | 2^f they lead to."""
-    masks = np.arange(1 << n)
-    bits = (masks[:, None] >> np.arange(n)) & 1
-    count = bits.sum(axis=1)
-    levels = []
-    for i in range(n):
-        u = np.flatnonzero(count == i)
-        free = np.nonzero(bits[u] == 0)[1].reshape(u.size, n - i)
-        levels.append((u, free, u[:, None] | (1 << free)))
-    return levels
-
-
-def _completion_costs(C):
-    """g[..., u] = least cost of filling slots popcount(u)..n-1 with values
-    outside the mask u, where C[..., v, i] is the cost of value v in slot i
-    (+inf where forbidden). g[..., 0] is the assignment optimum."""
-    n = C.shape[-1]
-    g = np.full(C.shape[:-2] + (1 << n,), np.inf)
-    g[..., -1] = 0.0
-    for i, (u, free, nxt) in reversed(list(enumerate(_subset_levels(n)))):
-        g[..., u] = (C[..., free, i] + g[..., nxt]).min(axis=-1)
-    return g
-
-
-def assignment_min_forbidden(cost, forbidden=()):
-    """Minimize sum_i cost[sigma(i), i] over permutations avoiding cells.
-
-    ``forbidden`` holds 1-based (value, slot) pairs that sigma must avoid;
-    +inf costs are forbidden too. Exact optimum from a subset DP over
-    (slot, used values), for n <= ASSIGNMENT_MAX_N = 16; among permutations
-    within 1e-12 of it, the one with lexicographically smallest image is
-    returned.
-    """
-    C0 = np.asarray(cost, dtype=float)
-    if C0.ndim != 2 or C0.shape[0] != C0.shape[1]:
-        raise ValueError(f"cost must be square, got shape {C0.shape}")
-    n = C0.shape[0]
-    if n > ASSIGNMENT_MAX_N:
-        raise ValueError(f"assignment supports n <= {ASSIGNMENT_MAX_N}, got {n}")
-    if np.isnan(C0).any() or (C0 == -np.inf).any():
-        raise ValueError("cost entries must be finite or +inf")
-    C = C0.copy()
-    for v, i in forbidden:
-        if not (1 <= v <= n and 1 <= i <= n):
-            raise ValueError(f"forbidden cell ({v}, {i}) outside 1..{n}")
-        C[v - 1, i - 1] = np.inf
-    g = _completion_costs(C)
-    best = g[0]
-    if not np.isfinite(best):
-        raise InfeasibleAssignmentError("no permutation avoids the forbidden cells")
-    # Walk the slots left to right, taking the smallest value that still
-    # completes within 1e-12 of the optimum.
-    image, used, acc = [], 0, 0.0
-    for i in range(n):
-        v = next((v for v in range(n)
-                  if not used >> v & 1 and acc + C[v, i] + g[used | 1 << v] <= best + 1e-12), None)
-        if v is None:
-            raise InfeasibleAssignmentError("no permutation avoids the forbidden cells")
-        image.append(v + 1)
-        acc += C[v, i]
-        used |= 1 << v
-    sigma = Permutation(tuple(image))
-    value = float(sum(C0[image[i] - 1, i] for i in range(n)))
-    return sigma, value
 
 
 @functools.cache
@@ -398,11 +322,10 @@ class _EntryCosts:
     A pi, as cells p (value * n + slot), contributes (n-2) sum_i Q[p_i, p_i]
     - sum_{i != j} Q[p_i, p_j]; sigma contributes its diagonal cost
     c(sigma) = sum_i Q[s_i, s_i], minimized over sigma differing from pi in
-    every slot. For n <= EXACT_MAX_N that minimum is the first sigma, in
-    each state's own order of c, whose mask shares no bit with pi's; above
-    it, the subset DP of assignment_min_forbidden. Only the value of that
-    first sigma is read, so the sort need not be stable: best_sigmas picks
-    sigma itself by the lexicographic rule. Results have one row per state.
+    every slot. That minimum is the first sigma, in each state's own order
+    of c, whose mask shares no bit with pi's. Only the value of that first
+    sigma is read, so the sort need not be stable: best_sigmas picks sigma
+    itself by the lexicographic rule. Results have one row per state.
     """
 
     def __init__(self, Q, n):
@@ -412,14 +335,13 @@ class _EntryCosts:
         self.iu, self.ju = _slot_pairs(n)
         # Q[a, b] + Q[b, a] at flat index a * n^2 + b
         self.off = (Q + Q.transpose(0, 2, 1)).reshape(R, -1)
-        if n <= EXACT_MAX_N:
-            self.bits = np.left_shift(np.uint64(1), np.arange(n * n, dtype=np.uint64))
-            cells, self.masks = _perm_table(n)
-            self.c = _take(self.diag, cells).sum(axis=-1).reshape(R, -1)
-            order = np.argsort(self.c, axis=1)
-            # each state's c in its own order, by one 1-d gather
-            self.sorted_c = self.c.ravel()[order + len(cells) * np.arange(R)[:, None]]
-            self.sorted_masks = self.masks[order]
+        self.bits = np.left_shift(np.uint64(1), np.arange(n * n, dtype=np.uint64))
+        cells, self.masks = _perm_table(n)
+        self.c = _take(self.diag, cells).sum(axis=-1).reshape(R, -1)
+        order = np.argsort(self.c, axis=1)
+        # each state's c in its own order, by one 1-d gather
+        self.sorted_c = self.c.ravel()[order + len(cells) * np.arange(R)[:, None]]
+        self.sorted_masks = self.masks[order]
 
     def pi_parts(self, cells):
         n, R = self.n, len(self.diag)
@@ -431,12 +353,10 @@ class _EntryCosts:
             out[:, a:a + step] = (n - 2) * _take(self.diag, p).sum(axis=-1) - off
         return out
 
-    def sigma_mins(self, cells, masks=None):
-        """Constrained sigma minima, (R, B) for B = len(cells). All (state,
-        pi) pairs are resolved together, pair t being state t // B and pi
-        t % B, over growing chunks of the sorted sigma."""
-        if self.n > EXACT_MAX_N:
-            return self._sigma_mins_dp(cells)
+    def sigma_mins(self, cells, masks):
+        """Constrained sigma minima, (R, B) for B = len(cells) with pi masks
+        ``masks``. All (state, pi) pairs are resolved together, pair t being
+        state t // B and pi t % B, over growing chunks of the sorted sigma."""
         R, B = len(self.diag), len(cells)
         out = np.empty(R * B)
         todo = np.arange(R * B)
@@ -459,21 +379,10 @@ class _EntryCosts:
             start += width
         return out.reshape(R, B)
 
-    def _sigma_mins_dp(self, cells):
-        n, R, B = self.n, len(self.diag), len(cells)
-        out = np.empty((R, B))
-        step = max(1, (_GATHER_ELEMS >> n) // R)
-        for a in range(0, B, step):
-            p = cells[a:a + step]
-            C = np.repeat(self.diag.reshape(R, 1, n, n), len(p), axis=1)
-            C.reshape(R, len(p), -1)[:, np.arange(len(p))[:, None], p] = np.inf
-            out[:, a:a + step] = _completion_costs(C)[..., 0]
-        return out
-
     def totals(self, pis):
         """Totals for a (B, n) batch of 0-based pi images, shape (R, B)."""
         cells = pis * self.n + np.arange(self.n)
-        masks = self.bits[cells].sum(axis=1) if self.n <= EXACT_MAX_N else None
+        masks = self.bits[cells].sum(axis=1)
         return self.pi_parts(cells) + self.sigma_mins(cells, masks)
 
     def best_sigmas(self, rows, pis):
@@ -481,10 +390,6 @@ class _EntryCosts:
         lexicographic rule: the first permutation within 1e-12 of the
         constrained optimum. (F, n) 1-based images."""
         n = self.n
-        if n > EXACT_MAX_N:
-            return [assignment_min_forbidden(self.diag[r].reshape(n, n),
-                                             [(int(p[i]) + 1, i + 1) for i in range(n)])[0].image
-                    for r, p in zip(rows, pis)]
         cells, _ = _perm_table(n)
         pmask = self.bits[pis * n + np.arange(n)].sum(axis=1)
         avoid = (self.masks & pmask[:, None]) == 0
@@ -580,10 +485,9 @@ def entry_search(rho: DensityMatrix, n: int, mode: str = "exact", seed: int = 0)
     n! pi come from one chunked gather; c is computed for every sigma at
     once and sorted, and each pi's constrained minimum is the first sorted
     sigma that differs from it in every slot, resolved for all pi together
-    by scanning the sorted sigma in growing chunks. Heuristic mode (n <= 16)
-    runs a seeded multi-restart 2-swap local search on pi with the same
-    sigma minimum (above n = 8, from the subset DP of
-    assignment_min_forbidden). Tie rules: pi is the lexicographically first
+    by scanning the sorted sigma in growing chunks. Heuristic mode (also
+    n <= 8) runs a seeded multi-restart 2-swap local search on pi with the
+    same sigma minimum. Tie rules: pi is the lexicographically first
     within 1e-12 of the minimum (heuristic: of the restarts' results); sigma
     is then the lexicographically first within 1e-12 of pi's constrained
     minimum. Returns an EntryCertificate when the minimum is < -1e-10, else
@@ -597,54 +501,13 @@ def entry_search(rho: DensityMatrix, n: int, mode: str = "exact", seed: int = 0)
         )
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
-    if mode == "exact" and n > EXACT_MAX_N:
-        raise ValueError(f"exact mode supports n <= {EXACT_MAX_N}, got {n}; use heuristic")
-    if n > ASSIGNMENT_MAX_N:
-        raise ValueError(f"heuristic mode supports n <= {ASSIGNMENT_MAX_N}, got {n}")
+    if n > EXACT_MAX_N:
+        raise ValueError(f"entry search supports n <= {EXACT_MAX_N}, got {n}")
     if mode == "exact":
         return _entry_sweep([rho], rho.mat[None], n)[0]
     costs = _EntryCosts(_entry_tables(rho.mat[None], dims, rho.ordering, n), n)
     best_pi, best_total = _heuristic_pi(costs, n, seed)
     return _certify([rho], n, costs, np.array([best_pi]) - 1, np.array([best_total]))[0]
-
-
-# scan_criteria stacks at most this many states at a time, so that its
-# stacks (about 25 kB a state at 16 x 16) stay bounded on long grids.
-_SCAN_BLOCK = 512
-
-
-def scan_criteria(rhos):
-    """PPT, CCNR and the exact entry criterion on a list of states at once.
-
-    The states share their dims (min(dh, dk) <= 8, the exact sweep's bound)
-    and their ordering. Returns one (ppt_min_eig, ccnr_trace_norm,
-    entry_value) triple per state, equal to ppt_check, ccnr_check and the
-    least certificate value of entry_search(rho, n, mode="exact") over
-    n = 2..min(dh, dk) (None when no n certifies) on that state alone. Each
-    block of up to 512 states costs one batched eigvalsh, one batched SVD
-    and one exact sweep per n.
-    """
-    if not rhos:
-        return []
-    dims, ordering = rhos[0].dims, rhos[0].ordering
-    if any(rho.dims != dims or rho.ordering != ordering for rho in rhos):
-        raise ValueError("scan_criteria needs states of one dims and one ordering")
-    if min(dims.dim_h, dims.dim_k) > EXACT_MAX_N:
-        raise ValueError(f"scan_criteria supports min(dims) <= {EXACT_MAX_N}")
-    return [row for a in range(0, len(rhos), _SCAN_BLOCK)
-            for row in _scan_block(rhos[a:a + _SCAN_BLOCK])]
-
-
-def _scan_block(rhos):
-    mats = np.stack([rho.mat for rho in rhos])
-    best = [None] * len(rhos)
-    for n in range(2, min(rhos[0].dims.dim_h, rhos[0].dims.dim_k) + 1):
-        for r, cert in enumerate(_entry_sweep(rhos, mats, n)):
-            if cert is not None and (best[r] is None or cert.value < best[r]):
-                best[r] = cert.value
-    ppt = _ppt_mins(np.stack([states.partial_transpose_first(rho) for rho in rhos]))
-    ccnr = _ccnr_norms(np.stack([states.realignment(rho) for rho in rhos]))
-    return zip(ppt, ccnr, best)
 
 
 def pure_check(psi: PureState):
@@ -795,11 +658,11 @@ def distill_search(rho: DensityMatrix, restarts: int = 20, seed: int = 0):
     returned certificate is re-verified. PPT input, on which no rotated
     value can fire, returns None before any refinement.
     """
-    _check_restarts(restarts, "restarts")
+    _check_int(restarts, "restarts", 1, MAX_RESTARTS)
     dh, dk = rho.dims.dim_h, rho.dims.dim_k
     Mh = reorder(rho, H_MAJOR).mat
     pt = states.partial_transpose_first(reorder(rho, H_MAJOR))
-    pe_spec, pv = numkit.hermitian_eigensystem(0.5 * (pt + pt.conj().T))
+    pe_spec, pv = numkit.hermitian_eigensystem(pt)
     # Every search value is 2 <phi| rho^Gamma |phi> >= 2 lambda_min for a unit
     # phi. When that bound, less the eigensolver's error, stays above
     # FIRE_TOL / 2, no restart can fire: the rounding in the search's own
@@ -846,12 +709,37 @@ def distill_search(rho: DensityMatrix, restarts: int = 20, seed: int = 0):
 
 # ---------------------------------------------------------------- detect
 
-def detect(rho: DensityMatrix, config: DetectConfig = None) -> DetectionReport:
-    """Run every criterion and aggregate the verdict.
+# scan_criteria stacks at most this many states at a time, so that its
+# stacks (about 25 kB a state at 16 x 16) stay bounded on long grids.
+_SCAN_BLOCK = 512
 
-    The caller is responsible for handing in a valid state (the CLI
-    validates on parse). Verdict is "entangled" iff at least one criterion
-    fired; "undetected" never asserts separability.
+
+def scan_criteria(rhos, n_cap: int = EXACT_MAX_N) -> list:
+    """PPT, CCNR and the exact entry criterion on a list of states at once.
+
+    The states share their dims and their ordering. Returns one
+    DetectionReport per state, with distill_best None, from the entry
+    search over n = 2..min(dh, dk, n_cap) (n_cap in 2..8) and the fire
+    rules of ``detect``, tr rho_- margins included; every value equals
+    ppt_check, ccnr_check and exact entry_search on that state alone. Each
+    block of up to 512 states costs one batched eigvalsh of the states, one
+    of their partial transposes, one batched SVD and one exact sweep per n;
+    a report's timings_ms are those of its whole block.
+    """
+    _check_int(n_cap, "n_cap", 2, EXACT_MAX_N)
+    if not rhos:
+        return []
+    dims, ordering = rhos[0].dims, rhos[0].ordering
+    if any(rho.dims != dims or rho.ordering != ordering for rho in rhos):
+        raise ValueError("scan_criteria needs states of one dims and one ordering")
+    return [rep for a in range(0, len(rhos), _SCAN_BLOCK)
+            for rep in _criteria_block(rhos[a:a + _SCAN_BLOCK], n_cap)]
+
+
+def _criteria_block(rhos, n_cap, config=None):
+    """The criteria pass on one block of states of one dims and ordering,
+    and the only place that decides which criteria fire. With ``config``
+    (detect's case), each state also gets a distill_search.
 
     Validation admits eigenvalues down to -1e-9, so write rho = rho_+ -
     rho_-. A criterion fires only if it would still fire on rho_+: for a
@@ -861,58 +749,73 @@ def detect(rho: DensityMatrix, config: DetectConfig = None) -> DetectionReport:
     CCNR, ||R(rho)||_1 <= tr rho_+ + min(dh, dk) tr rho_- when rho_+ is
     separable.
     """
+    dims = rhos[0].dims
+    mats = np.stack([rho.mat for rho in rhos])
+    eig = np.array([s.values for s in numkit.hermitian_eigenvalues_stack(mats)])
+    neg = (-np.minimum(eig, 0.0).sum(axis=1)).tolist()
+    pos = np.maximum(eig, 0.0).sum(axis=1).tolist()
+    timings = {}
+
+    t0 = time.perf_counter()
+    ppt = _ppt_mins(np.stack([states.partial_transpose_first(rho) for rho in rhos]))
+    timings["ppt"] = (time.perf_counter() - t0) * 1e3
+
+    t0 = time.perf_counter()
+    ccnr = _ccnr_norms(np.stack([states.realignment(rho) for rho in rhos]))
+    timings["ccnr"] = (time.perf_counter() - t0) * 1e3
+
+    t0 = time.perf_counter()
+    entry = [None] * len(rhos)
+    for n in range(2, min(dims.dim_h, dims.dim_k, n_cap) + 1):
+        for r, cert in enumerate(_entry_sweep(rhos, mats, n)):
+            if cert is None or not cert.value + (n - 1) * neg[r] < FIRE_TOL:
+                continue
+            if entry[r] is None or cert.value < entry[r].value:
+                entry[r] = cert
+    timings["entry"] = (time.perf_counter() - t0) * 1e3
+
+    distill = [None] * len(rhos)
+    if config is not None:
+        t0 = time.perf_counter()
+        for r, rho in enumerate(rhos):
+            cert = distill_search(rho, restarts=config.distill_restarts, seed=config.seed)
+            if cert is not None and cert.value + 2.0 * neg[r] < FIRE_TOL:
+                distill[r] = cert
+        timings["distill"] = (time.perf_counter() - t0) * 1e3
+
+    reports = []
+    for r in range(len(rhos)):
+        fired = tuple(name for name, hit in (
+            ("ppt", ppt[r] + neg[r] < PPT_TOL),
+            ("ccnr", ccnr[r] - min(dims.dim_h, dims.dim_k) * neg[r] > pos[r] + CCNR_TOL),
+            ("entry_criterion", entry[r] is not None),
+            ("distill", distill[r] is not None),
+        ) if hit)
+        reports.append(DetectionReport(
+            ppt_min_eig=ppt[r],
+            ccnr_norm=ccnr[r],
+            entry_best=entry[r],
+            distill_best=distill[r],
+            verdict="entangled" if fired else "undetected",
+            fired=fired,
+            timings_ms=dict(timings),
+        ))
+    return reports
+
+
+def detect(rho: DensityMatrix, config: DetectConfig = None) -> DetectionReport:
+    """Run every criterion and aggregate the verdict.
+
+    The criteria pass of ``scan_criteria`` on a stack of one, with entry
+    search up to config.n_cap, plus ``distill_search``; a criterion fires
+    only if it would still fire on the positive part of rho (see
+    ``_criteria_block``). The caller is responsible for handing in a valid
+    state (the CLI validates on parse). Verdict is "entangled" iff at least
+    one criterion fired; "undetected" never asserts separability.
+    """
     if config is None:
         config = DetectConfig()
-    timings = {}
-    fired = []
-    m = rho.mat
-    eig = numkit.hermitian_eigenvalues(0.5 * (m + m.conj().T)).values
-    neg = float(-eig[eig < 0].sum())
-    pos = float(eig[eig > 0].sum())
-
-    t0 = time.perf_counter()
-    ppt = ppt_check(rho)
-    timings["ppt"] = (time.perf_counter() - t0) * 1e3
-    if ppt + neg < PPT_TOL:
-        fired.append("ppt")
-
-    t0 = time.perf_counter()
-    ccnr = ccnr_check(rho)
-    timings["ccnr"] = (time.perf_counter() - t0) * 1e3
-    if ccnr - min(rho.dims.dim_h, rho.dims.dim_k) * neg > pos + CCNR_TOL:
-        fired.append("ccnr")
-
-    t0 = time.perf_counter()
-    entry_best = None
-    for n in range(2, min(rho.dims.dim_h, rho.dims.dim_k, config.n_cap) + 1):
-        mode = "exact" if n <= config.exact_max else "heuristic"
-        cert = entry_search(rho, n, mode=mode, seed=config.seed)
-        if cert is None or not cert.value + (n - 1) * neg < FIRE_TOL:
-            continue
-        if entry_best is None or cert.value < entry_best.value:
-            entry_best = cert
-    timings["entry"] = (time.perf_counter() - t0) * 1e3
-    if entry_best is not None:
-        fired.append("entry_criterion")
-
-    t0 = time.perf_counter()
-    distill_best = distill_search(rho, restarts=config.distill_restarts, seed=config.seed)
-    timings["distill"] = (time.perf_counter() - t0) * 1e3
-    if distill_best is not None and not distill_best.value + 2.0 * neg < FIRE_TOL:
-        distill_best = None
-    if distill_best is not None:
-        fired.append("distill")
-
-    verdict = "entangled" if fired else "undetected"
-    return DetectionReport(
-        ppt_min_eig=float(ppt),
-        ccnr_norm=float(ccnr),
-        entry_best=entry_best,
-        distill_best=distill_best,
-        verdict=verdict,
-        fired=tuple(fired),
-        timings_ms=timings,
-    )
+    return _criteria_block([rho], config.n_cap, config)[0]
 
 
 def _vec_pairs(v: np.ndarray) -> list:

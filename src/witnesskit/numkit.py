@@ -1,7 +1,7 @@
 """Dense complex matrix helpers.
 
-Kronecker products, adjoints, Hermitian eigenvalues, singular values and the
-trace norm, all on plain ``numpy`` arrays (``complex128``). Eigenvalues come
+Kronecker products, Hermitian eigenvalues, singular values and the trace
+norm, all on plain ``numpy`` arrays (``complex128``). Eigenvalues come
 from LAPACK through ``np.linalg.eigvalsh``/``eigh`` on the symmetrised input,
 singular values from ``np.linalg.svd`` on the matrix itself (never from the
 Gram matrix a^dagger a, whose rounding noise would turn a zero singular value
@@ -24,9 +24,6 @@ import numpy as np
 __all__ = [
     "Spectrum",
     "kron",
-    "adjoint",
-    "is_hermitian",
-    "frobenius",
     "hermitian_eigenvalues",
     "hermitian_eigenvalues_stack",
     "hermitian_eigensystem",
@@ -80,24 +77,6 @@ def _as_matrix(a, ndim=2) -> np.ndarray:
 def kron(a, b) -> np.ndarray:
     """Kronecker product; block (i, j) of the result is a[i, j] * b."""
     return np.kron(_as_matrix(a), _as_matrix(b))
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_matrix(a).conj().T
-
-
-def frobenius(a) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(_as_matrix(a)))
-
-
-def is_hermitian(a, tol) -> bool:
-    """True iff ``a`` is square and max |a - a^dagger| <= tol entrywise."""
-    m = _as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"hermiticity is only defined for square matrices, got {m.shape}")
-    return float(np.max(np.abs(m - m.conj().T))) <= tol
 
 
 def _error_bound(norm: float, order: int) -> float:

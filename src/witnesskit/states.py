@@ -196,7 +196,7 @@ def validate(rho: DensityMatrix) -> list:
     if abs(tr - 1.0) > TRACE_TOL:
         violations.append(f"trace: expected 1, got {tr.real:.12g}{tr.imag:+.3e}j")
     if not violations:
-        min_eig = numkit.hermitian_eigenvalues(0.5 * (m + m.conj().T)).min
+        min_eig = numkit.hermitian_eigenvalues(m).min
         if min_eig < POSITIVITY_TOL:
             violations.append(
                 f"positivity: minimum eigenvalue {min_eig:.3e} below {POSITIVITY_TOL:.0e}"

@@ -158,7 +158,7 @@ class Witness:
                 f"witness matrix is not Hermitian: defect {defect:.3e} at scale {scale:.3e}"
             )
         object.__setattr__(self, "mat", m)
-        min_eig = numkit.hermitian_eigenvalues(0.5 * (m + m.conj().T)).min
+        min_eig = numkit.hermitian_eigenvalues(m).min
         if not min_eig < NEGATIVITY_TOL:
             raise NotAWitnessError(
                 f"matrix is positive within tolerance (min eigenvalue {min_eig:.3e}); "

@@ -91,6 +91,7 @@ def test_detect_round_trip(e34_file, tmp_path):
     assert rep["ppt_min_eig"] > 0
     assert rep["version"] == cli.__version__
     assert rep["config"]["seed"] == 0 and rep["config"]["n_cap"] == 6
+    assert "exact_max" not in rep["config"]
     assert _stable(report_path)
 
 
@@ -202,6 +203,20 @@ def test_detect_sound_inside_validation_slack_7x7(tmp_path, capsys, eps):
     assert run(["detect", str(state)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "undetected", payload["fired"]
+
+
+def test_detect_n_cap_above_exact_bound_exits_2(e34_file, capsys):
+    assert run(["detect", str(e34_file), "--n-cap", "9"]) == 2
+    captured = capsys.readouterr()
+    assert "n_cap must be an integer in 2..8, got 9" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_detect_exact_max_flag_is_gone(e34_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["detect", str(e34_file), "--exact-max", "6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --exact-max" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("restarts", ["0", "-1", "1001"])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -13,11 +14,9 @@ from witnesskit import (
     DensityMatrix,
     DetectConfig,
     H_MAJOR,
-    InfeasibleAssignmentError,
     K_MAJOR,
     Permutation,
     PureState,
-    assignment_min_forbidden,
     ccnr_check,
     detect,
     distill_search,
@@ -34,6 +33,7 @@ from witnesskit import (
     reorder,
     report_to_dict,
     rotated_rank4_value,
+    validate,
     witness_kps,
     witness_value,
 )
@@ -153,79 +153,6 @@ def test_entry_value_perms_rejects_clashes():
     rho = reorder(_ginibre(D33, seed=6), K_MAJOR)
     with pytest.raises(ValueError, match="coincide at slots"):
         entry_value_perms(rho, 3, Permutation((1, 2, 3)), Permutation((1, 3, 2)))
-
-
-# --------------------------------------------------------------- assignment
-
-def test_assignment_brute_force_oracle():
-    rng = np.random.default_rng(17)
-    for n in (3, 4):
-        for trial in range(20):
-            cost = rng.uniform(size=(n, n))
-            forbidden = [(int(rng.integers(1, n + 1)), i) for i in range(1, n + 1)]
-            best = None
-            for perm in itertools.permutations(range(1, n + 1)):
-                if any((perm[i - 1], i) in forbidden for i in range(1, n + 1)):
-                    continue
-                t = sum(cost[perm[i - 1] - 1, i - 1] for i in range(1, n + 1))
-                if best is None or t < best:
-                    best = t
-            if best is None:
-                with pytest.raises(InfeasibleAssignmentError):
-                    assignment_min_forbidden(cost, forbidden)
-            else:
-                sigma, val = assignment_min_forbidden(cost, forbidden)
-                assert abs(val - best) < 1e-12
-                assert all((sigma(i), i) not in forbidden for i in range(1, n + 1))
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_assignment_subset_dp_matches_brute_force(n):
-    # optimum and the lexicographic tie rule against full enumeration, with
-    # random forbidden cells and ties planted by rounding costs to a grid
-    rng = np.random.default_rng(70 + n)
-    perms = np.array(list(itertools.permutations(range(n))))
-    for trial in range(12 if n < 7 else 3):
-        cost = rng.integers(0, 4, size=(n, n)) / 4.0
-        forbidden = [(int(v) + 1, int(i) + 1) for v, i in zip(*np.nonzero(rng.uniform(size=(n, n)) < 0.3))]
-        C = cost.copy()
-        for v, i in forbidden:
-            C[v - 1, i - 1] = np.inf
-        totals = C[perms, np.arange(n)].sum(axis=1)
-        if not np.isfinite(totals.min()):
-            with pytest.raises(InfeasibleAssignmentError):
-                assignment_min_forbidden(cost, forbidden)
-            continue
-        first = perms[np.argmax(totals <= totals.min() + 1e-12)]
-        sigma, val = assignment_min_forbidden(cost, forbidden)
-        assert sigma.image == tuple(int(v) + 1 for v in first)
-        assert abs(val - totals.min()) < 1e-12
-
-
-def test_assignment_size_cap_and_bad_costs():
-    with pytest.raises(ValueError, match="n <= 16"):
-        assignment_min_forbidden(np.zeros((17, 17)))
-    with pytest.raises(ValueError, match="finite"):
-        assignment_min_forbidden(np.array([[0.0, np.nan], [0.0, 0.0]]))
-
-
-def test_assignment_derangement_tie_break():
-    # all-zero costs with the diagonal forbidden: lexicographically first
-    # derangement wins
-    sigma, val = assignment_min_forbidden(np.zeros((3, 3)), [(i, i) for i in (1, 2, 3)])
-    assert sigma.image == (2, 3, 1) and val == 0.0
-
-
-def test_assignment_infeasible():
-    with pytest.raises(InfeasibleAssignmentError):
-        assignment_min_forbidden(np.zeros((2, 2)), [(1, 1), (2, 1)])
-
-
-def test_assignment_input_checks():
-    with pytest.raises(ValueError, match="square"):
-        assignment_min_forbidden(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="outside"):
-        assignment_min_forbidden(np.zeros((2, 2)), [(3, 1)])
 
 
 # ------------------------------------------------------------- entry search
@@ -418,48 +345,100 @@ def test_entry_sweep_rows_match_single_state_search(dh, dk, ordering):
     assert 0 < fired < len(rhos) * (min(dh, dk) - 1)
 
 
+def _untimed(report):
+    return dataclasses.replace(report, timings_ms={})
+
+
 def test_scan_criteria_rows_and_input_checks(monkeypatch):
     rhos = [_stack_state(3, 4, 340 + s, K_MAJOR) for s in range(6)]
-    rows = detection.scan_criteria(rhos)
-    assert len(rows) == len(rhos)
-    for rho, (ppt, ccnr, best) in zip(rhos, rows):
-        assert ppt == ppt_check(rho) and ccnr == ccnr_check(rho)
-        certs = [entry_search(rho, n) for n in (2, 3)]
-        values = [c.value for c in certs if c is not None]
-        assert best == (min(values) if values else None)
+    reports = detection.scan_criteria(rhos)
+    assert len(reports) == len(rhos)
+    for rho, rep in zip(rhos, reports):
+        assert rep.ppt_min_eig == ppt_check(rho) and rep.ccnr_norm == ccnr_check(rho)
+        certs = [c for c in (entry_search(rho, n) for n in (2, 3)) if c is not None]
+        assert rep.entry_best == (min(certs, key=lambda c: c.value) if certs else None)
+        assert rep.distill_best is None
+        assert set(rep.timings_ms) == {"ppt", "ccnr", "entry"}
+    assert {rep.entry_best is None for rep in reports} == {True, False}
     # a list longer than one block runs block by block, with the same rows
     monkeypatch.setattr(detection, "_SCAN_BLOCK", 4)
-    assert detection.scan_criteria(rhos) == rows
+    assert [_untimed(r) for r in detection.scan_criteria(rhos)] == [_untimed(r) for r in reports]
     assert detection.scan_criteria([]) == []
     with pytest.raises(ValueError, match="one dims"):
         detection.scan_criteria([rhos[0], _stack_state(3, 3, 1, K_MAJOR)])
     with pytest.raises(ValueError, match="one ordering"):
         detection.scan_criteria([rhos[0], reorder(rhos[1], H_MAJOR)])
+    with pytest.raises(ValueError, match=r"n_cap must be an integer in 2\.\.8"):
+        detection.scan_criteria(rhos, n_cap=9)
 
 
-@pytest.mark.parametrize("n, kind, seed", [(3, "low_rank", 301), (5, "low_rank", 501)])
-def test_entry_heuristic_dp_route_matches_sorted_sweep(monkeypatch, n, kind, seed):
-    # Above EXACT_MAX_N the heuristic takes sigma minima from the subset DP
-    # and sigma itself from assignment_min_forbidden. Lowering the bound
-    # sends small n down that route, which must agree with the sorted sweep
-    # on every pi and on the certificate.
-    rho = _pin_state(n, kind, seed)
-    cells, masks = detection._perm_table(n)
-    sweep = _costs([rho], n)
-    swept = sweep.sigma_mins(cells, masks)[0]
-    expected = entry_search(rho, n, mode="heuristic", seed=3)
-    monkeypatch.setattr(detection, "EXACT_MAX_N", n - 1)
-    dp = _costs([rho], n)
-    assert np.allclose(dp.sigma_mins(cells)[0], swept, rtol=0, atol=1e-14)
-    cert = entry_search(rho, n, mode="heuristic", seed=3)
-    assert expected is not None and cert is not None
-    assert (cert.pi1, cert.sigma1, cert.value) == (expected.pi1, expected.sigma1, expected.value)
+def _slack_3x3(eps):
+    # |33><33| - (eps/2)(|11> - |22>)(<11| - <22|): valid, since validation
+    # admits eigenvalues down to -1e-9, and its positive part is a product
+    # state, so no criterion may certify it
+    v = np.zeros(9)
+    v[0], v[4] = 1.0, -1.0
+    m = -(eps / 2) * np.outer(v, v)
+    m[8, 8] += 1.0
+    return DensityMatrix(D33, H_MAJOR, m)
+
+
+@pytest.mark.parametrize("eps", [3e-10, 5e-10, 9e-10])
+def test_scan_criteria_sound_inside_validation_slack(eps):
+    rho = _slack_3x3(eps)
+    assert validate(rho) == []
+    # without the tr rho_- margin the n = 2 entry value -eps would fire
+    assert abs(entry_search(rho, 2).value + eps) < 1e-15
+    (rep,) = detection.scan_criteria([rho])
+    assert rep.verdict == "undetected" and rep.fired == ()
+    assert rep.entry_best is None
+    alone = detect(rho)
+    assert (alone.verdict, alone.entry_best) == (rep.verdict, rep.entry_best)
+    # in a stack, each state's margin is its own tr rho_-
+    e34 = reorder(example_34(*P34), H_MAJOR)
+    assert [r.fired for r in detection.scan_criteria([e34, rho])] == [
+        ("ccnr", "entry_criterion"), ()]
+
+
+def test_scan_criteria_ccnr_bound_uses_each_states_trace():
+    # product states whose traces drift to either side of 1 within the
+    # validation tolerance: ||R||_1 = tr rho, which CCNR must not read as
+    # entanglement against another state's tr rho_+
+    rhos = []
+    for c in (1 - 9e-10, 1 + 9e-10):
+        m = np.zeros((9, 9))
+        m[0, 0] = c
+        rhos.append(DensityMatrix(D33, H_MAJOR, m))
+        assert validate(rhos[-1]) == []
+    reports = detection.scan_criteria(rhos)
+    assert reports[1].ccnr_norm > 1 + 5e-10
+    assert [r.fired for r in reports] == [(), ()]
+
+
+@pytest.mark.parametrize("ordering", [H_MAJOR, K_MAJOR])
+@pytest.mark.parametrize("dh, dk", [(2, 3), (3, 2), (3, 3), (4, 4)])
+def test_scan_criteria_reports_equal_detect(dh, dk, ordering):
+    rhos = [_stack_state(dh, dk, 500 + 10 * dh + dk + s, ordering) for s in range(6)]
+    rhos.append(random_separable(BipartiteDims(dh, dk), terms=3, seed=dh + dk))
+    rhos[-1] = reorder(rhos[-1], ordering)
+    seen = set()
+    for n_cap in sorted({2, min(dh, dk)}):
+        for rho, rep in zip(rhos, detection.scan_criteria(rhos, n_cap)):
+            one = detect(rho, DetectConfig(n_cap=n_cap))
+            assert rep.ppt_min_eig == one.ppt_min_eig and rep.ccnr_norm == one.ccnr_norm
+            assert rep.entry_best == one.entry_best
+            assert rep.distill_best is None
+            assert rep.fired == tuple(f for f in one.fired if f != "distill")
+            assert rep.verdict == ("entangled" if rep.fired else "undetected")
+            seen.add(rep.fired)
+    assert () in seen and any("entry_criterion" in f for f in seen)
 
 
 def test_entry_search_heuristic_size_cap():
-    rho = DensityMatrix(BipartiteDims(17, 17), H_MAJOR, np.eye(289) / 289)
-    with pytest.raises(ValueError, match="n <= 16"):
-        entry_search(rho, 17, mode="heuristic")
+    rho = DensityMatrix(BipartiteDims(9, 9), H_MAJOR, np.eye(81) / 81)
+    for mode in ("heuristic", "exact"):
+        with pytest.raises(ValueError, match="n <= 8"):
+            entry_search(rho, 9, mode=mode)
 
 
 def test_entry_search_input_checks():
@@ -680,11 +659,28 @@ def test_detect_respects_n_cap():
     assert rep.verdict == "undetected"
 
 
-def test_detect_heuristic_fallback_config():
-    rep = detect(example_35(*P35), DetectConfig(exact_max=3, seed=5))
-    # n = 4 now runs the heuristic; it still finds the negative block
-    assert rep.entry_best is not None
-    assert rep.entry_best.value < -1e-10
+def test_detect_entry_search_is_exact_up_to_n_cap_8():
+    # a maximally entangled vector on 8 (x) 8 mixed with noise: block n
+    # scores about -0.9 n / 8 + 0.1 n (n - 1) / 64, lowest at n = 8
+    rng = np.random.default_rng(88)
+    v = np.zeros(64)
+    v[np.arange(8) * 9] = 1 / np.sqrt(8)
+    g = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    noise = g @ g.conj().T
+    m = 0.9 * np.outer(v, v) + 0.1 * (0.5 * np.eye(64) / 64 + 0.5 * noise / np.trace(noise).real)
+    rho = DensityMatrix(BipartiteDims(8, 8), H_MAJOR, m)
+    certs = {n: entry_search(rho, n, mode="exact") for n in range(2, 9)}
+    for n_cap in (7, 8):
+        rep = detect(rho, DetectConfig(n_cap=n_cap, distill_restarts=1))
+        fired = [c for n, c in certs.items() if n <= n_cap and c is not None]
+        assert rep.entry_best == min(fired, key=lambda c: c.value)
+        assert rep.entry_best.n == n_cap
+
+
+@pytest.mark.parametrize("n_cap", [1, 9, 2.0])
+def test_detect_config_rejects_n_cap_outside_exact_range(n_cap):
+    with pytest.raises(ValueError, match=r"n_cap must be an integer in 2\.\.8"):
+        DetectConfig(n_cap=n_cap)
 
 
 def test_import_is_lazy_and_scipy_free():

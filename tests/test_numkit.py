@@ -112,19 +112,6 @@ def test_kron_block_structure():
     np.testing.assert_array_equal(k[:2, 2:], 2 * b)
 
 
-def test_adjoint_and_is_hermitian():
-    a = np.array([[1, 1j], [0, 2]])
-    np.testing.assert_array_equal(numkit.adjoint(a), a.conj().T)
-    assert numkit.is_hermitian(a + a.conj().T, tol=0.0)
-    assert not numkit.is_hermitian(a, tol=0.5)
-    with pytest.raises(ValueError):
-        numkit.is_hermitian(np.ones((2, 3)), tol=1e-9)
-
-
-def test_frobenius():
-    assert abs(numkit.frobenius(np.array([[3, 4]])) - 5.0) < 1e-15
-
-
 def test_spectrum_container_behavior():
     spec = numkit.hermitian_eigenvalues(np.diag([3.0, 1.0, 2.0]).astype(complex))
     assert list(spec) == [3.0, 2.0, 1.0]
