@@ -139,7 +139,11 @@ class DetectionReport:
 
 
 def ppt_check(rho: DensityMatrix) -> float:
-    """Minimum eigenvalue of the partial transpose; < -1e-9 means entangled."""
+    """Minimum eigenvalue of the partial transpose; < -1e-9 means entangled.
+
+    rho must be Hermitian to 1e-9 * ||rho|| (as a validated state is);
+    otherwise ValueError.
+    """
     return _ppt_mins(states.partial_transpose_first(rho)[None])[0]
 
 
@@ -714,32 +718,33 @@ def distill_search(rho: DensityMatrix, restarts: int = 20, seed: int = 0):
 _SCAN_BLOCK = 512
 
 
-def scan_criteria(rhos, n_cap: int = EXACT_MAX_N) -> list:
+def scan_criteria(rhos) -> list:
     """PPT, CCNR and the exact entry criterion on a list of states at once.
 
     The states share their dims and their ordering. Returns one
     DetectionReport per state, with distill_best None, from the entry
-    search over n = 2..min(dh, dk, n_cap) (n_cap in 2..8) and the fire
-    rules of ``detect``, tr rho_- margins included; every value equals
-    ppt_check, ccnr_check and exact entry_search on that state alone. Each
-    block of up to 512 states costs one batched eigvalsh of the states, one
-    of their partial transposes, one batched SVD and one exact sweep per n;
-    a report's timings_ms are those of its whole block.
+    search over n = 2..min(dh, dk, 8) and the fire rules of ``detect``,
+    tr rho_- margins included; every value equals ppt_check, ccnr_check and
+    exact entry_search on that state alone. Each block of up to 512 states
+    costs one batched eigvalsh of the states, one of their partial
+    transposes, one batched SVD and one exact sweep per n; a report's
+    timings_ms are those of its whole block. A state that is not Hermitian
+    to 1e-9 * ||rho|| raises ValueError.
     """
-    _check_int(n_cap, "n_cap", 2, EXACT_MAX_N)
     if not rhos:
         return []
     dims, ordering = rhos[0].dims, rhos[0].ordering
     if any(rho.dims != dims or rho.ordering != ordering for rho in rhos):
         raise ValueError("scan_criteria needs states of one dims and one ordering")
     return [rep for a in range(0, len(rhos), _SCAN_BLOCK)
-            for rep in _criteria_block(rhos[a:a + _SCAN_BLOCK], n_cap)]
+            for rep in _criteria_block(rhos[a:a + _SCAN_BLOCK], EXACT_MAX_N)]
 
 
-def _criteria_block(rhos, n_cap, config=None):
+def _criteria_block(rhos, n_cap, distill_restarts=None, seed=0):
     """The criteria pass on one block of states of one dims and ordering,
-    and the only place that decides which criteria fire. With ``config``
-    (detect's case), each state also gets a distill_search.
+    and the only place that decides which criteria fire. ``detect`` hands
+    in its one state with ``distill_restarts`` and ``seed``, and that state
+    also gets a distill_search.
 
     Validation admits eigenvalues down to -1e-9, so write rho = rho_+ -
     rho_-. A criterion fires only if it would still fire on rho_+: for a
@@ -775,12 +780,12 @@ def _criteria_block(rhos, n_cap, config=None):
     timings["entry"] = (time.perf_counter() - t0) * 1e3
 
     distill = [None] * len(rhos)
-    if config is not None:
+    if distill_restarts is not None:
+        (rho,) = rhos
         t0 = time.perf_counter()
-        for r, rho in enumerate(rhos):
-            cert = distill_search(rho, restarts=config.distill_restarts, seed=config.seed)
-            if cert is not None and cert.value + 2.0 * neg[r] < FIRE_TOL:
-                distill[r] = cert
+        cert = distill_search(rho, restarts=distill_restarts, seed=seed)
+        if cert is not None and cert.value + 2.0 * neg[0] < FIRE_TOL:
+            distill[0] = cert
         timings["distill"] = (time.perf_counter() - t0) * 1e3
 
     reports = []
@@ -810,12 +815,13 @@ def detect(rho: DensityMatrix, config: DetectConfig = None) -> DetectionReport:
     search up to config.n_cap, plus ``distill_search``; a criterion fires
     only if it would still fire on the positive part of rho (see
     ``_criteria_block``). The caller is responsible for handing in a valid
-    state (the CLI validates on parse). Verdict is "entangled" iff at least
+    state (the CLI validates on parse); a rho that is not Hermitian to
+    1e-9 * ||rho|| raises ValueError. Verdict is "entangled" iff at least
     one criterion fired; "undetected" never asserts separability.
     """
     if config is None:
         config = DetectConfig()
-    return _criteria_block([rho], config.n_cap, config)[0]
+    return _criteria_block([rho], config.n_cap, config.distill_restarts, config.seed)[0]
 
 
 def _vec_pairs(v: np.ndarray) -> list:

@@ -368,8 +368,6 @@ def test_scan_criteria_rows_and_input_checks(monkeypatch):
         detection.scan_criteria([rhos[0], _stack_state(3, 3, 1, K_MAJOR)])
     with pytest.raises(ValueError, match="one ordering"):
         detection.scan_criteria([rhos[0], reorder(rhos[1], H_MAJOR)])
-    with pytest.raises(ValueError, match=r"n_cap must be an integer in 2\.\.8"):
-        detection.scan_criteria(rhos, n_cap=9)
 
 
 def _slack_3x3(eps):
@@ -422,16 +420,26 @@ def test_scan_criteria_reports_equal_detect(dh, dk, ordering):
     rhos.append(random_separable(BipartiteDims(dh, dk), terms=3, seed=dh + dk))
     rhos[-1] = reorder(rhos[-1], ordering)
     seen = set()
-    for n_cap in sorted({2, min(dh, dk)}):
-        for rho, rep in zip(rhos, detection.scan_criteria(rhos, n_cap)):
-            one = detect(rho, DetectConfig(n_cap=n_cap))
-            assert rep.ppt_min_eig == one.ppt_min_eig and rep.ccnr_norm == one.ccnr_norm
-            assert rep.entry_best == one.entry_best
-            assert rep.distill_best is None
-            assert rep.fired == tuple(f for f in one.fired if f != "distill")
-            assert rep.verdict == ("entangled" if rep.fired else "undetected")
-            seen.add(rep.fired)
+    for rho, rep in zip(rhos, detection.scan_criteria(rhos)):
+        one = detect(rho, DetectConfig(n_cap=min(dh, dk)))
+        assert rep.ppt_min_eig == one.ppt_min_eig and rep.ccnr_norm == one.ccnr_norm
+        assert rep.entry_best == one.entry_best
+        assert rep.distill_best is None
+        assert rep.fired == tuple(f for f in one.fired if f != "distill")
+        assert rep.verdict == ("entangled" if rep.fired else "undetected")
+        seen.add(rep.fired)
     assert () in seen and any("entry_criterion" in f for f in seen)
+
+
+def test_criteria_reject_non_hermitian_input():
+    # DensityMatrix checks shape and finiteness only; the criteria pass
+    # leaves the Hermiticity check to numkit, which raises past 1e-9 * ||rho||
+    m = np.eye(9) / 9
+    m[0, 1] = 1e-6
+    rho = DensityMatrix(D33, H_MAJOR, m)
+    for run in (ppt_check, detect, lambda r: detection.scan_criteria([r])):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            run(rho)
 
 
 def test_entry_search_heuristic_size_cap():
