@@ -10,13 +10,11 @@ from LAPACK through numpy.
 __version__ = "0.1.0"
 
 from .numkit import (
-    Spectrum,
     hermitian_eigenvalues,
     hermitian_eigenvalues_stack,
     hermitian_eigensystem,
     singular_values,
     singular_values_stack,
-    trace_norm,
 )
 from .states import (
     BipartiteDims,

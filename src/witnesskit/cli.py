@@ -21,7 +21,7 @@ Exit codes: 0 the command ran (verdicts never drive exit codes), 2 input or
 validation error, 3 internal numerical failure. JSON output is byte-stable
 (sorted keys, fixed indentation) and serializes complex numbers as
 [re, im] pairs. The WITNESSKIT_SEED environment variable supplies the
-default seed; an explicit --seed wins.
+default seed of ``detect`` and ``example pure``; an explicit --seed wins.
 """
 
 from __future__ import annotations
@@ -40,13 +40,16 @@ from .states import BipartiteDims, DomainError, FormatError, H_MAJOR, ORDERINGS
 from .witnesses import Permutation, WitnessSpec, rank4_witness, witness_kps, witness_to_dict
 
 
-def _emit(payload: dict, out_path):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out_path):
     if out_path in (None, "-"):
         sys.stdout.write(text)
     else:
         with open(out_path, "w") as fh:
             fh.write(text)
+
+
+def _emit(payload: dict, out_path):
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
 
 
 def _load_json(path):
@@ -126,12 +129,7 @@ def cmd_detect(args) -> int:
             )
         if report.distill_best is not None:
             lines.append(f"distill certificate: value {report.distill_best.value:.12g}")
-        text = "\n".join(lines) + "\n"
-        if args.out in (None, "-"):
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+        _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -212,7 +210,6 @@ def cmd_scan(args) -> int:
     amps_text = args.abc if family == "e34" else args.abcd
     amps = _floats(amps_text, nq, "--abc(d)") if amps_text else [0.0] * nq
     base = dict(zip(qnames, q)) | dict(zip(anames, amps))
-    seed = _resolve_seed(args.seed)
 
     # Every grid state is built (and domain-checked) before any criterion
     # runs; the criteria then take the whole grid as one stack.
@@ -259,7 +256,7 @@ def cmd_scan(args) -> int:
             "version": __version__,
             "config": {
                 "command": "scan", "family": family, "base": base,
-                "vary": args.vary, "range": args.range, "seed": seed,
+                "vary": args.vary, "range": args.range,
             },
             "rows": rows,
         }
@@ -271,12 +268,7 @@ def cmd_scan(args) -> int:
         lines = [",".join(cols)]
         for row in rows:
             lines.append(",".join("" if row[c] is None else str(row[c]) for c in cols))
-        text = "\n".join(lines) + "\n"
-        if args.out in (None, "-"):
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+        _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -343,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--abcd", default=None, help="e35 base amplitudes (default zeros)")
     s.add_argument("--vary", default=None, help="weight to sweep (the last one absorbs)")
     s.add_argument("--range", default=None, help="start,stop,count")
-    s.add_argument("--seed", type=int, default=None)
     s.add_argument("--format", choices=("json", "csv"), default="json")
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_scan)

@@ -22,8 +22,9 @@ exact entry sweep on a stack of same-dims states at once (one batched
 eigvalsh of the states, one of their partial transposes, one batched SVD
 and one sweep per n for each block of up to 512 states) and decides which
 criteria fire. ``detect`` is that pass on a stack of one plus
-``distill_search``. ``ppt_check``, ``ccnr_check`` and exact
-``entry_search`` are the stack-of-one case of the same kernels.
+``distill_search``. Exact ``entry_search`` is the stack-of-one case of
+the same sweep; ``ppt_check`` and ``ccnr_check`` take numkit's
+single-matrix forms, whose values equal the stacked rows bit for bit.
 
 The searches are deterministic for a fixed seed. Certificates are always
 re-verified against the witness layer before being returned, so a returned
@@ -141,27 +142,15 @@ class DetectionReport:
 def ppt_check(rho: DensityMatrix) -> float:
     """Minimum eigenvalue of the partial transpose; < -1e-9 means entangled.
 
-    rho must be Hermitian to 1e-9 * ||rho|| (as a validated state is);
-    otherwise ValueError.
+    rho must be Hermitian to 1e-9 relative to its largest modulus (as a
+    validated state is); otherwise ValueError.
     """
-    return _ppt_mins(states.partial_transpose_first(rho)[None])[0]
+    return float(numkit.hermitian_eigenvalues(states.partial_transpose_first(rho))[-1])
 
 
 def ccnr_check(rho: DensityMatrix) -> float:
     """Trace norm of the realignment; > 1 + 1e-9 means entangled."""
-    return _ccnr_norms(states.realignment(rho)[None])[0]
-
-
-def _ppt_mins(pt) -> list:
-    """Minimum eigenvalue of each matrix of an (R, d, d) stack of partial
-    transposes, from one batched eigvalsh."""
-    return [s.min for s in numkit.hermitian_eigenvalues_stack(pt)]
-
-
-def _ccnr_norms(realigned) -> list:
-    """Trace norm of each matrix of an (R, dh^2, dk^2) stack of
-    realignments, from one batched SVD."""
-    return [float(s.values.sum()) for s in numkit.singular_values_stack(realigned)]
+    return float(numkit.singular_values(states.realignment(rho)).sum())
 
 
 def _check_entry_indices(k, h, n):
@@ -208,16 +197,10 @@ def entry_value_indices(rho: DensityMatrix, k, h) -> float:
             f"index form needs an n (x) n state with n = {n}, "
             f"got {rho.dims.dim_h}x{rho.dims.dim_k}"
         )
-    k, h = _check_entry_indices(k, h, n)
-    m = reorder(rho, K_MAJOR).mat
-    kp = np.array(k) - 1
-    hp = np.array(h) - 1
-    sub = m[np.ix_(kp, kp)]
-    tr = sub.trace()
-    val = (n - 2) * tr + m[hp, hp].sum() - (sub.sum() - tr)
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"entry value has imaginary part {val.imag:.3e}")
-    return float(val.real)
+    # k_i = (i-1)n + pi1(i) is the k_major position of |pi1(i), i'>, so the
+    # permutation form reads the same entries.
+    pi1, sigma1, _ = indices_to_perms(k, h, n)
+    return entry_value_perms(rho, n, pi1, sigma1)
 
 
 def entry_value_perms(rho: DensityMatrix, n: int, pi: Permutation, sigma: Permutation) -> float:
@@ -521,7 +504,7 @@ def pure_check(psi: PureState):
     negative exactly when the Schmidt rank is at least 2.
     """
     s = states.schmidt(psi)
-    d1, d2 = float(s.values[0]), float(s.values[1])
+    d1, d2 = float(s[0]), float(s[1])
     # The SVD errs by at most max(dims) * eps * ||C||_F (~1e-15 on a unit C)
     # per value, so a product state's d2 stays far below 1e-10.
     return d2 > 1e-10, -2.0 * d1 * d2
@@ -666,14 +649,13 @@ def distill_search(rho: DensityMatrix, restarts: int = 20, seed: int = 0):
     dh, dk = rho.dims.dim_h, rho.dims.dim_k
     Mh = reorder(rho, H_MAJOR).mat
     pt = states.partial_transpose_first(reorder(rho, H_MAJOR))
-    pe_spec, pv = numkit.hermitian_eigensystem(pt)
+    pe, pv = numkit.hermitian_eigensystem(pt)  # descending
     # Every search value is 2 <phi| rho^Gamma |phi> >= 2 lambda_min for a unit
     # phi. When that bound, less the eigensolver's error, stays above
     # FIRE_TOL / 2, no restart can fire: the rounding in the search's own
     # value (~order * eps) is far below the remaining FIRE_TOL / 2 margin.
-    if 2.0 * (pe_spec.min - pe_spec.tolerance) >= FIRE_TOL / 2:
+    if 2.0 * (pe[-1] - numkit.error_bound(pt)) >= FIRE_TOL / 2:
         return None
-    pe = pe_spec.values  # descending
     rng = np.random.default_rng(seed)
 
     seeds = []
@@ -729,7 +711,7 @@ def scan_criteria(rhos) -> list:
     costs one batched eigvalsh of the states, one of their partial
     transposes, one batched SVD and one exact sweep per n; a report's
     timings_ms are those of its whole block. A state that is not Hermitian
-    to 1e-9 * ||rho|| raises ValueError.
+    to 1e-9 relative to its largest modulus raises ValueError.
     """
     if not rhos:
         return []
@@ -756,17 +738,19 @@ def _criteria_block(rhos, n_cap, distill_restarts=None, seed=0):
     """
     dims = rhos[0].dims
     mats = np.stack([rho.mat for rho in rhos])
-    eig = np.array([s.values for s in numkit.hermitian_eigenvalues_stack(mats)])
+    eig = numkit.hermitian_eigenvalues_stack(mats)
     neg = (-np.minimum(eig, 0.0).sum(axis=1)).tolist()
     pos = np.maximum(eig, 0.0).sum(axis=1).tolist()
     timings = {}
 
     t0 = time.perf_counter()
-    ppt = _ppt_mins(np.stack([states.partial_transpose_first(rho) for rho in rhos]))
+    pts = np.stack([states.partial_transpose_first(rho) for rho in rhos])
+    ppt = numkit.hermitian_eigenvalues_stack(pts)[:, -1].tolist()
     timings["ppt"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
-    ccnr = _ccnr_norms(np.stack([states.realignment(rho) for rho in rhos]))
+    realigned = np.stack([states.realignment(rho) for rho in rhos])
+    ccnr = numkit.singular_values_stack(realigned).sum(axis=1).tolist()
     timings["ccnr"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
@@ -816,8 +800,9 @@ def detect(rho: DensityMatrix, config: DetectConfig = None) -> DetectionReport:
     only if it would still fire on the positive part of rho (see
     ``_criteria_block``). The caller is responsible for handing in a valid
     state (the CLI validates on parse); a rho that is not Hermitian to
-    1e-9 * ||rho|| raises ValueError. Verdict is "entangled" iff at least
-    one criterion fired; "undetected" never asserts separability.
+    1e-9 relative to its largest modulus raises ValueError. Verdict is
+    "entangled" iff at least one criterion fired; "undetected" never
+    asserts separability.
     """
     if config is None:
         config = DetectConfig()

@@ -61,7 +61,7 @@ def check_entry_closed_forms():
 def check_pt_spectrum_34():
     """2: partial-transpose spectrum of the 9x9 family at the fixed point."""
     rho = states.example_34(1 / 5, 1 / 10, 7 / 10, 1 / 20, 1 / 20, 1 / 20)
-    got = np.sort(numkit.hermitian_eigenvalues(states.partial_transpose_first(rho)).values)
+    got = np.sort(numkit.hermitian_eigenvalues(states.partial_transpose_first(rho)))
     root = np.sqrt(61.0)
     expected = np.sort(
         [(8 + root) / 60, (8 - root) / 60, 1 / 4, 1 / 4, 1 / 60, 1 / 60, 1 / 15, 1 / 15, 1 / 15]
@@ -74,7 +74,7 @@ def check_family_35():
     """3: the 16x16 family at its fixed point — PT spectrum, realignment norm,
     entry value, and silent PPT/CCNR in the aggregate report."""
     rho = states.example_35(1 / 20, 1 / 10, 17 / 40, 17 / 40, 1 / 40, 1 / 40, 1 / 40, 1 / 40)
-    got = np.sort(numkit.hermitian_eigenvalues(states.partial_transpose_first(rho)).values)
+    got = np.sort(numkit.hermitian_eigenvalues(states.partial_transpose_first(rho)))
     expected = np.sort(
         [0.0054, 0.0054, 0.0069, 0.0069, 0.0223, 0.0223, 0.0235, 0.0235,
          0.0821, 0.0821, 0.1027, 0.1027, 0.1212, 0.1212, 0.1359, 0.1359]
@@ -171,7 +171,7 @@ def check_witness_soundness():
         rho = states.random_separable(d33, int(rng.integers(2, 7)), seed=5000 + i)
         for w in ws33:
             worst = min(worst, witnesses.witness_value(w, rho))
-    neg = [numkit.hermitian_eigenvalues(w.mat).min for w in ws22 + ws33]
+    neg = [float(numkit.hermitian_eigenvalues(w.mat)[-1]) for w in ws22 + ws33]
     max_neg = max(neg)
     passed = worst >= -1e-9 and max_neg <= -1e-10
     return passed, (
@@ -196,7 +196,7 @@ def check_map_positivity():
             a = G @ G.conj().T
             a /= np.trace(a).real
             for out in (witnesses.phi_kappa(a, spec.n, spec.kappa), witnesses.phi_kappa_ps(a, spec)):
-                worst = min(worst, numkit.hermitian_eigenvalues(out).min)
+                worst = min(worst, float(numkit.hermitian_eigenvalues(out)[-1]))
     return worst >= -1e-9, (
         f"min output eigenvalue {worst:.3e} over 3 specs x 10^3 PSD inputs x 2 maps (tol -1e-9)"
     )

@@ -153,11 +153,7 @@ def basis_index(i: int, j: int, dims: BipartiteDims, ordering: str) -> int:
 def _k_to_h_perm(dims: BipartiteDims) -> np.ndarray:
     """perm[h_pos] = k_pos, so mat_h = mat_k[ix_(perm, perm)] (0-based)."""
     dh, dk = dims.dim_h, dims.dim_k
-    perm = np.empty(dims.order, dtype=int)
-    for i in range(dh):
-        for j in range(dk):
-            perm[i * dk + j] = j * dh + i
-    return perm
+    return (np.arange(dk) * dh + np.arange(dh)[:, None]).ravel()
 
 
 def reorder(rho: DensityMatrix, target: str) -> DensityMatrix:
@@ -185,18 +181,17 @@ def validate(rho: DensityMatrix) -> list:
     """
     violations = []
     m = rho.mat
-    scale = max(float(np.max(np.abs(m))), 1e-300)
-    herm_defect = float(np.max(np.abs(m - m.conj().T)))
-    if herm_defect > HERMITICITY_TOL * scale:
+    herm_defect = float(numkit.hermitian_defect(m))
+    if herm_defect > HERMITICITY_TOL:
         violations.append(
-            f"hermiticity: max |m - m^dagger| = {herm_defect:.3e} "
-            f"exceeds {HERMITICITY_TOL:.0e} relative to max modulus {scale:.3e}"
+            f"hermiticity: max |m - m^dagger| / max |m| = {herm_defect:.3e} "
+            f"exceeds {HERMITICITY_TOL:.0e}"
         )
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > TRACE_TOL:
         violations.append(f"trace: expected 1, got {tr.real:.12g}{tr.imag:+.3e}j")
     if not violations:
-        min_eig = numkit.hermitian_eigenvalues(m).min
+        min_eig = float(numkit.hermitian_eigenvalues(m)[-1])
         if min_eig < POSITIVITY_TOL:
             violations.append(
                 f"positivity: minimum eigenvalue {min_eig:.3e} below {POSITIVITY_TOL:.0e}"
@@ -220,8 +215,9 @@ def maximally_entangled(n: int, dims: BipartiteDims, ordering: str = H_MAJOR) ->
     return PureState(dims, coeffs).density(ordering)
 
 
-def schmidt(psi: PureState) -> numkit.Spectrum:
-    """Schmidt coefficients: singular values of the coefficient matrix."""
+def schmidt(psi: PureState) -> np.ndarray:
+    """Schmidt coefficients, descending: singular values of the coefficient
+    matrix."""
     return numkit.singular_values(psi.coeffs)
 
 

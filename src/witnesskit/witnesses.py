@@ -151,14 +151,13 @@ class Witness:
         D = self.dims.order
         if m.shape != (D, D):
             raise ValueError(f"witness shape {m.shape} does not match dims order {D}")
-        scale = max(float(np.max(np.abs(m))), 1e-300)
-        defect = float(np.max(np.abs(m - m.conj().T)))
-        if defect > 1e-10 * scale:
+        defect = float(numkit.hermitian_defect(m))
+        if defect > 1e-10:
             raise NotAWitnessError(
-                f"witness matrix is not Hermitian: defect {defect:.3e} at scale {scale:.3e}"
+                f"witness matrix is not Hermitian: max |W - W^dagger| / max |W| = {defect:.3e}"
             )
         object.__setattr__(self, "mat", m)
-        min_eig = numkit.hermitian_eigenvalues(m).min
+        min_eig = float(numkit.hermitian_eigenvalues(m)[-1])
         if not min_eig < NEGATIVITY_TOL:
             raise NotAWitnessError(
                 f"matrix is positive within tolerance (min eigenvalue {min_eig:.3e}); "
@@ -269,7 +268,7 @@ def conjugate_witness(w: Witness, u, v) -> Witness:
             f"unitary sizes {u.shape[0]}x{v.shape[0]} do not match witness dims "
             f"{w.dims.dim_h}x{w.dims.dim_k}"
         )
-    big = numkit.kron(u, v) if w.ordering == H_MAJOR else numkit.kron(v, u)
+    big = np.kron(u, v) if w.ordering == H_MAJOR else np.kron(v, u)
     mat = big @ w.mat @ big.conj().T
     return Witness(w.spec, w.dims, w.ordering, 0.5 * (mat + mat.conj().T))
 
@@ -352,10 +351,10 @@ def choi_witness(map_fn, n: int, dims: BipartiteDims) -> Witness:
                     f"map returned shape {blk.shape}, expected {(dh, dh)}"
                 )
             W[i * dh:(i + 1) * dh, j * dh:(j + 1) * dh] = blk
-    defect = float(np.max(np.abs(W - W.conj().T)))
-    if defect > 1e-10 * max(float(np.max(np.abs(W))), 1e-300):
+    defect = float(numkit.hermitian_defect(W))
+    if defect > 1e-10:
         raise ValueError(
-            f"map is not Hermiticity-preserving: Choi defect {defect:.3e}"
+            f"map is not Hermiticity-preserving: relative Choi defect {defect:.3e}"
         )
     return Witness("choi", dims, K_MAJOR, W)
 

@@ -103,6 +103,22 @@ def test_detect_text_format(e34_file, capsys):
     assert "entry certificate" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["detect", "{state}", "--format", "text"],
+    ["scan", "--family", "e34", "--vary", "q2", "--range", "0.05,0.25,3", "--format", "csv"],
+    ["scan", "--family", "e35"],
+])
+def test_text_csv_and_json_go_to_stdout_or_file_alike(argv, e34_file, tmp_path, capsys):
+    argv = [str(e34_file) if a == "{state}" else a for a in argv]
+    out = tmp_path / "out.txt"
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    assert run(argv + ["--out", "-"]) == 0
+    assert capsys.readouterr().out == printed
+    assert run(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == "" and out.read_text() == printed
+
+
 def test_detect_exit_0_even_when_nothing_fires(tmp_path, capsys):
     # verdicts are output, not exit codes
     from witnesskit import random_separable, BipartiteDims, state_to_dict
@@ -316,6 +332,16 @@ def test_scan_cannot_vary_absorbing_weight(capsys):
 
 def test_scan_vary_requires_range(capsys):
     assert run(["scan", "--family", "e34", "--vary", "q1"]) == 2
+
+
+def test_scan_takes_no_seed(capsys):
+    # scan draws nothing random: it has no --seed flag and echoes no seed
+    with pytest.raises(SystemExit) as exc:
+        run(["scan", "--family", "e34", "--seed", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(["scan", "--family", "e34"]) == 0
+    assert "seed" not in json.loads(capsys.readouterr().out)["config"]
 
 
 def _fmt(vals):

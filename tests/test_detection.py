@@ -433,7 +433,7 @@ def test_scan_criteria_reports_equal_detect(dh, dk, ordering):
 
 def test_criteria_reject_non_hermitian_input():
     # DensityMatrix checks shape and finiteness only; the criteria pass
-    # leaves the Hermiticity check to numkit, which raises past 1e-9 * ||rho||
+    # leaves the Hermiticity check to numkit, which raises past 1e-9 * max |rho|
     m = np.eye(9) / 9
     m[0, 1] = 1e-6
     rho = DensityMatrix(D33, H_MAJOR, m)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from witnesskit import states
 from witnesskit import (
     BipartiteDims,
     DensityMatrix,
@@ -20,9 +21,9 @@ from witnesskit import (
     realignment,
     reorder,
     schmidt,
+    singular_values,
     state_from_dict,
     state_to_dict,
-    trace_norm,
     validate,
 )
 
@@ -229,7 +230,7 @@ def test_pt_spectrum_35_reference_values():
 
 def test_realignment_trace_norm_35():
     rho_h = reorder(example_35(*P35), H_MAJOR)
-    assert abs(trace_norm(realignment(rho_h)) - 0.8304888690172844) < 1e-12
+    assert abs(singular_values(realignment(rho_h)).sum() - 0.8304888690172844) < 1e-12
 
 
 # -------------------------------------------------------------- domain checks
@@ -300,6 +301,16 @@ def test_reorder_round_trip_and_spectrum():
         assert rho.mat[r, cidx] == rk.mat[rk_r, rk_c]
 
 
+def test_k_to_h_perm_matches_its_definition():
+    # perm[i * dk + j] = j * dh + i: the h_major position of |i, j'> holds
+    # its k_major position
+    for dh in range(2, 9):
+        for dk in range(2, 9):
+            perm = states._k_to_h_perm(BipartiteDims(dh, dk))
+            expected = [j * dh + i for i in range(dh) for j in range(dk)]
+            assert perm.tolist() == expected, (dh, dk)
+
+
 def test_partial_transpose_is_ordering_consistent():
     rho = _ginibre(D23, seed=7)
     eh = np.linalg.eigvalsh(partial_transpose_first(rho))
@@ -318,8 +329,8 @@ def test_partial_transpose_involution_and_trace():
 
 def test_realignment_is_carrier_invariant():
     rho = _ginibre(D23, seed=9)
-    t1 = trace_norm(realignment(rho))
-    t2 = trace_norm(realignment(reorder(rho, K_MAJOR)))
+    t1 = singular_values(realignment(rho)).sum()
+    t2 = singular_values(realignment(reorder(rho, K_MAJOR))).sum()
     assert abs(t1 - t2) < 1e-12
 
 
@@ -350,7 +361,7 @@ def test_pure_state_and_schmidt():
     c /= np.linalg.norm(c)
     psi = PureState(D23, c)
     sv = schmidt(psi)
-    np.testing.assert_allclose(sv.values, np.linalg.svd(c, compute_uv=False),
+    np.testing.assert_allclose(sv, np.linalg.svd(c, compute_uv=False),
                                atol=1e-12)
     rho = psi.density()
     assert validate(rho) == []
@@ -367,7 +378,7 @@ def test_random_separable_is_valid_and_undetectable():
         rho = random_separable(D23, terms=4, seed=seed)
         assert validate(rho) == []
         assert np.linalg.eigvalsh(partial_transpose_first(rho)).min() > -1e-12
-        assert trace_norm(realignment(rho)) <= 1.0 + 1e-9
+        assert singular_values(realignment(rho)).sum() <= 1.0 + 1e-9
 
 
 def test_random_separable_is_deterministic():
@@ -389,6 +400,18 @@ def test_validate_flags_each_violation():
     assert any("hermiticity" in v for v in validate(DensityMatrix(D22, H_MAJOR, m)))
     neg = DensityMatrix(D22, H_MAJOR, np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex))
     assert any("positivity" in v for v in validate(neg))
+
+
+def test_validate_hermiticity_threshold_is_relative_to_max_modulus():
+    # max |m| = 1/2 here, so the 1e-9 threshold sits at an absolute defect
+    # of 5e-10
+    good = maximally_entangled(2, D22)
+    assert validate(good) == []
+    for defect, flagged in ((2.5e-10, False), (1e-9, True)):
+        m = good.mat.copy()
+        m[0, 1] = defect
+        found = [v for v in validate(DensityMatrix(D22, H_MAJOR, m)) if "hermiticity" in v]
+        assert bool(found) == flagged, (defect, found)
 
 
 def test_density_matrix_constructor_checks():

@@ -293,6 +293,32 @@ def test_witness_constructor_rejects_non_hermitian():
         Witness("test", D22, H_MAJOR, m)
 
 
+def test_hermiticity_thresholds_on_the_relative_defect():
+    # Witness and choi_witness reject once max |W - W^dagger| / max |W|
+    # passes 1e-10, and accept an exactly Hermitian matrix
+    w = rank4_witness(D22, H_MAJOR).mat
+    scale = np.abs(w).max()
+    for factor, ok in ((0.0, True), (0.5, True), (2.0, False)):
+        m = w.copy()
+        m[0, 1] += factor * 1e-10 * scale
+        if ok:
+            Witness("test", D22, H_MAJOR, m)
+        else:
+            with pytest.raises(NotAWitnessError, match="not Hermitian"):
+                Witness("test", D22, H_MAJOR, m)
+    # phi + c * i * id adds i * c to the Choi matrix on the entries of
+    # n rho_+, a defect of 2c
+    scale = np.abs(choi_witness(phi_rank4, 2, D22).mat).max()
+    for factor, ok in ((0.0, True), (0.5, True), (2.0, False)):
+        c = factor * 1e-10 * scale / 2
+        run = lambda: choi_witness(lambda a: phi_rank4(a) + c * 1j * a, 2, D22)
+        if ok:
+            run()
+        else:
+            with pytest.raises(ValueError, match="Hermiticity"):
+                run()
+
+
 def test_choi_witness_rejects_completely_positive_maps():
     with pytest.raises(NotAWitnessError):
         choi_witness(lambda a: a, 2, D22)  # identity map is CP
