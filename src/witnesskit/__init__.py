@@ -55,7 +55,6 @@ from .witnesses import (
     witness_value,
 )
 from .detection import (
-    DetectConfig,
     DetectionReport,
     DistillCertificate,
     EntryCertificate,

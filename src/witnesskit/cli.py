@@ -8,20 +8,21 @@ Commands::
     witnesskit scan ...                 tabulate criteria over a parameter grid
     witnesskit selfcheck                run the acceptance suite
 
-``detect`` and ``scan`` share one criteria pass (``scan_criteria``):
-``detect`` runs it on one state and adds the distill search; ``scan``
-builds and domain-checks every grid state before any criterion runs, then
-runs the grid through it as one stack (one batched eigvalsh of the states
-and one of their partial transposes, one batched SVD, one exact entry sweep
-per n, in blocks of 512 points) and tabulates the values and verdicts it
-reports. The parser is built once per process and the acceptance suite is
-imported only by ``selfcheck``.
+``detect`` and ``scan`` share one criteria pass (``scan_criteria``).
+``detect`` runs it on one state and adds the distill search; it takes the
+state and output options only, so its report depends on the state alone.
+``scan`` builds and domain-checks every grid state before any criterion
+runs, then runs the grid through it as one stack (one batched eigvalsh of
+the states and one of their partial transposes, one batched SVD, one exact
+entry sweep per n, in blocks of 512 points) and tabulates the values and
+verdicts it reports. The parser is built once per process and the
+acceptance suite is imported only by ``selfcheck``.
 
 Exit codes: 0 the command ran (verdicts never drive exit codes), 2 input or
 validation error, 3 internal numerical failure. JSON output is byte-stable
 (sorted keys, fixed indentation) and serializes complex numbers as
 [re, im] pairs. The WITNESSKIT_SEED environment variable supplies the
-default seed of ``detect`` and ``example pure``; an explicit --seed wins.
+default seed of ``example pure``; an explicit --seed wins.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import sys
 import numpy as np
 
 from . import __version__, states
-from .detection import DetectConfig, detect, report_to_dict, scan_criteria
+from .detection import detect, report_to_dict, scan_criteria
 from .states import BipartiteDims, DomainError, FormatError, H_MAJOR, ORDERINGS
 from .witnesses import Permutation, WitnessSpec, rank4_witness, witness_kps, witness_to_dict
 
@@ -98,20 +99,11 @@ def _dims(text: str) -> BipartiteDims:
 # ----------------------------------------------------------------- detect
 
 def cmd_detect(args) -> int:
-    seed = _resolve_seed(args.seed)
-    config = DetectConfig(n_cap=args.n_cap, distill_restarts=args.restarts, seed=seed)
     rho = states.state_from_dict(_load_json(args.state))
-    report = detect(rho, config)
+    report = detect(rho)
     payload = report_to_dict(report)
     payload["version"] = __version__
-    payload["config"] = {
-        "command": "detect",
-        "n_cap": config.n_cap,
-        "distill_restarts": config.distill_restarts,
-        "seed": config.seed,
-        "dim_h": rho.dims.dim_h,
-        "dim_k": rho.dims.dim_k,
-    }
+    payload["config"] = {"command": "detect", "dim_h": rho.dims.dim_h, "dim_k": rho.dims.dim_k}
     if args.format == "json":
         _emit(payload, args.out)
     else:
@@ -296,11 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("detect", help="run every criterion against a state file")
     d.add_argument("state", help="state JSON path, or - for stdin")
-    d.add_argument("--n-cap", type=int, default=6,
-                   help="largest exact entry-search block, 2..8 (default 6)")
-    d.add_argument("--restarts", type=int, default=20,
-                   help="distill search restarts, 1..1000 (default 20)")
-    d.add_argument("--seed", type=int, default=None, help="search seed (default WITNESSKIT_SEED or 0)")
     d.add_argument("--format", choices=("json", "text"), default="json")
     d.add_argument("--out", default=None, help="output path (default stdout)")
     d.set_defaults(func=cmd_detect)

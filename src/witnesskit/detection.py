@@ -22,11 +22,14 @@ exact entry sweep on a stack of same-dims states at once (one batched
 eigvalsh of the states, one of their partial transposes, one batched SVD
 and one sweep per n for each block of up to 512 states) and decides which
 criteria fire. ``detect`` is that pass on a stack of one plus
-``distill_search``. Exact ``entry_search`` is the stack-of-one case of
-the same sweep; ``ppt_check`` and ``ccnr_check`` take numkit's
-single-matrix forms, whose values equal the stacked rows bit for bit.
+``distill_search`` at its defaults. Exact ``entry_search`` is the
+stack-of-one case of the same sweep; ``ppt_check`` and ``ccnr_check`` take
+numkit's single-matrix forms, whose values equal the stacked rows bit for
+bit.
 
-The searches are deterministic for a fixed seed. Certificates are always
+``detect`` and ``scan_criteria`` take states and nothing else, so their
+reports depend on the input alone; ``distill_search`` and heuristic
+``entry_search`` are deterministic for a fixed seed. Certificates are always
 re-verified against the witness layer before being returned, so a returned
 certificate is sound even though a ``None`` proves nothing.
 """
@@ -34,8 +37,7 @@ certificate is sound even though a ``None`` proves nothing.
 from __future__ import annotations
 
 import functools
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,11 +49,10 @@ __all__ = [
     "FIRE_TOL",
     "MAX_RESTARTS",
     "EXACT_MAX_N",
-    "PPT_TOL",
+    "DETECT_MAX_N",
     "CCNR_TOL",
     "EntryCertificate",
     "DistillCertificate",
-    "DetectConfig",
     "DetectionReport",
     "ppt_check",
     "ccnr_check",
@@ -74,7 +75,11 @@ FIRE_TOL = -1e-10
 MAX_RESTARTS = 1000
 # The entry search enumerates the n! permutations pi, so n stops here.
 EXACT_MAX_N = 8
-PPT_TOL = -1e-9
+# detect's entry search stops at n = 6: the n = 7 and 8 sweeps only reach
+# states of 7x7 and larger, where they cost most of the search, and a wider
+# range would change detect's certificates there (the benchmark oracle,
+# DETECT_N_CAP in perfbench/oracle.py, checks detect's minimum over n <= 6).
+DETECT_MAX_N = 6
 CCNR_TOL = 1e-9
 
 
@@ -118,17 +123,6 @@ class DistillCertificate:
 
 
 @dataclass(frozen=True)
-class DetectConfig:
-    n_cap: int = 6           # largest block size tried by the entry search, <= 8
-    distill_restarts: int = 20
-    seed: int = 0
-
-    def __post_init__(self):
-        _check_int(self.n_cap, "n_cap", 2, EXACT_MAX_N)
-        _check_int(self.distill_restarts, "distill_restarts", 1, MAX_RESTARTS)
-
-
-@dataclass(frozen=True)
 class DetectionReport:
     ppt_min_eig: float
     ccnr_norm: float
@@ -136,11 +130,13 @@ class DetectionReport:
     distill_best: object
     verdict: str
     fired: tuple
-    timings_ms: dict = field(default_factory=dict)
 
 
 def ppt_check(rho: DensityMatrix) -> float:
-    """Minimum eigenvalue of the partial transpose; < -1e-9 means entangled.
+    """Minimum eigenvalue of the partial transpose; negative means entangled.
+
+    ``detect`` fires PPT when this value plus tr rho_- and
+    ``numkit.error_bound`` of the partial transpose is below FIRE_TOL.
 
     rho must be Hermitian to 1e-9 relative to its largest modulus (as a
     validated state is); otherwise ValueError.
@@ -709,9 +705,8 @@ def scan_criteria(rhos) -> list:
     tr rho_- margins included; every value equals ppt_check, ccnr_check and
     exact entry_search on that state alone. Each block of up to 512 states
     costs one batched eigvalsh of the states, one of their partial
-    transposes, one batched SVD and one exact sweep per n; a report's
-    timings_ms are those of its whole block. A state that is not Hermitian
-    to 1e-9 relative to its largest modulus raises ValueError.
+    transposes, one batched SVD and one exact sweep per n. A state that is
+    not Hermitian to 1e-9 relative to its largest modulus raises ValueError.
     """
     if not rhos:
         return []
@@ -722,18 +717,23 @@ def scan_criteria(rhos) -> list:
             for rep in _criteria_block(rhos[a:a + _SCAN_BLOCK], EXACT_MAX_N)]
 
 
-def _criteria_block(rhos, n_cap, distill_restarts=None, seed=0):
+def _criteria_block(rhos, n_cap, distill=False):
     """The criteria pass on one block of states of one dims and ordering,
-    and the only place that decides which criteria fire. ``detect`` hands
-    in its one state with ``distill_restarts`` and ``seed``, and that state
-    also gets a distill_search.
+    with the entry search over n = 2..min(dh, dk, n_cap), and the only
+    place that decides which criteria fire. ``detect`` hands in its one
+    state with ``distill=True``, and that state also gets a distill_search
+    if PPT fired.
 
     Validation admits eigenvalues down to -1e-9, so write rho = rho_+ -
     rho_-. A criterion fires only if it would still fire on rho_+: for a
     witness W, Tr(W rho_+) <= Tr(W rho) + ||W||_op tr rho_-, with
     ||W||_op = n - 1 for the entry witness and <= 1 for (|v><v|)^Gamma
-    with a unit v (PPT; distill, whose value is twice such a trace). For
-    CCNR, ||R(rho)||_1 <= tr rho_+ + min(dh, dk) tr rho_- when rho_+ is
+    with a unit v. PPT and distill read such a trace, <v|rho^Gamma|v>:
+    lambda_min for PPT, half the rotated value for distill. Both fire when
+    it plus tr rho_- plus numkit.error_bound(rho^Gamma), the eigensolver's
+    error on lambda_min, is below FIRE_TOL. Distill runs only where PPT
+    fired, so "distill" in fired implies "ppt" in fired. For CCNR,
+    ||R(rho)||_1 <= tr rho_+ + min(dh, dk) tr rho_- when rho_+ is
     separable.
     """
     dims = rhos[0].dims
@@ -741,19 +741,15 @@ def _criteria_block(rhos, n_cap, distill_restarts=None, seed=0):
     eig = numkit.hermitian_eigenvalues_stack(mats)
     neg = (-np.minimum(eig, 0.0).sum(axis=1)).tolist()
     pos = np.maximum(eig, 0.0).sum(axis=1).tolist()
-    timings = {}
 
-    t0 = time.perf_counter()
     pts = np.stack([states.partial_transpose_first(rho) for rho in rhos])
     ppt = numkit.hermitian_eigenvalues_stack(pts)[:, -1].tolist()
-    timings["ppt"] = (time.perf_counter() - t0) * 1e3
+    bound = numkit.error_bound(pts).tolist()
+    npt = [ppt[r] + neg[r] + bound[r] < FIRE_TOL for r in range(len(rhos))]
 
-    t0 = time.perf_counter()
     realigned = np.stack([states.realignment(rho) for rho in rhos])
     ccnr = numkit.singular_values_stack(realigned).sum(axis=1).tolist()
-    timings["ccnr"] = (time.perf_counter() - t0) * 1e3
 
-    t0 = time.perf_counter()
     entry = [None] * len(rhos)
     for n in range(2, min(dims.dim_h, dims.dim_k, n_cap) + 1):
         for r, cert in enumerate(_entry_sweep(rhos, mats, n)):
@@ -761,52 +757,47 @@ def _criteria_block(rhos, n_cap, distill_restarts=None, seed=0):
                 continue
             if entry[r] is None or cert.value < entry[r].value:
                 entry[r] = cert
-    timings["entry"] = (time.perf_counter() - t0) * 1e3
 
-    distill = [None] * len(rhos)
-    if distill_restarts is not None:
+    distilled = [None] * len(rhos)
+    if distill and npt[0]:
         (rho,) = rhos
-        t0 = time.perf_counter()
-        cert = distill_search(rho, restarts=distill_restarts, seed=seed)
-        if cert is not None and cert.value + 2.0 * neg[0] < FIRE_TOL:
-            distill[0] = cert
-        timings["distill"] = (time.perf_counter() - t0) * 1e3
+        cert = distill_search(rho)
+        if cert is not None and cert.value / 2 + neg[0] + bound[0] < FIRE_TOL:
+            distilled[0] = cert
 
     reports = []
     for r in range(len(rhos)):
         fired = tuple(name for name, hit in (
-            ("ppt", ppt[r] + neg[r] < PPT_TOL),
+            ("ppt", npt[r]),
             ("ccnr", ccnr[r] - min(dims.dim_h, dims.dim_k) * neg[r] > pos[r] + CCNR_TOL),
             ("entry_criterion", entry[r] is not None),
-            ("distill", distill[r] is not None),
+            ("distill", distilled[r] is not None),
         ) if hit)
         reports.append(DetectionReport(
             ppt_min_eig=ppt[r],
             ccnr_norm=ccnr[r],
             entry_best=entry[r],
-            distill_best=distill[r],
+            distill_best=distilled[r],
             verdict="entangled" if fired else "undetected",
             fired=fired,
-            timings_ms=dict(timings),
         ))
     return reports
 
 
-def detect(rho: DensityMatrix, config: DetectConfig = None) -> DetectionReport:
+def detect(rho: DensityMatrix) -> DetectionReport:
     """Run every criterion and aggregate the verdict.
 
-    The criteria pass of ``scan_criteria`` on a stack of one, with entry
-    search up to config.n_cap, plus ``distill_search``; a criterion fires
+    The criteria pass of ``scan_criteria`` on a stack of one, with the
+    entry search over n = 2..min(dh, dk, DETECT_MAX_N), plus
+    ``distill_search`` at its defaults when PPT fired; a criterion fires
     only if it would still fire on the positive part of rho (see
-    ``_criteria_block``). The caller is responsible for handing in a valid
-    state (the CLI validates on parse); a rho that is not Hermitian to
-    1e-9 relative to its largest modulus raises ValueError. Verdict is
-    "entangled" iff at least one criterion fired; "undetected" never
-    asserts separability.
+    ``_criteria_block``). The report depends on rho alone. The caller is
+    responsible for handing in a valid state (the CLI validates on parse);
+    a rho that is not Hermitian to 1e-9 relative to its largest modulus
+    raises ValueError. Verdict is "entangled" iff at least one criterion
+    fired; "undetected" never asserts separability.
     """
-    if config is None:
-        config = DetectConfig()
-    return _criteria_block([rho], config.n_cap, config.distill_restarts, config.seed)[0]
+    return _criteria_block([rho], DETECT_MAX_N, distill=True)[0]
 
 
 def _vec_pairs(v: np.ndarray) -> list:
@@ -852,5 +843,4 @@ def report_to_dict(report: DetectionReport) -> dict:
         "entry_certificate": entry,
         "distill_certificate": distill,
         "fired": list(report.fired),
-        "timings_ms": {k: round(v, 3) for k, v in report.timings_ms.items()},
     }

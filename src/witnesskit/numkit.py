@@ -41,8 +41,9 @@ def _as_matrix(a, ndim=2) -> np.ndarray:
     return m
 
 
-def error_bound(a) -> float:
-    """Absolute error bound on each LAPACK eigen- or singular value of ``a``.
+def error_bound(a):
+    """Absolute error bound on each LAPACK eigen- or singular value of ``a``,
+    or of each matrix of an (R, m, n) stack, as an (R,) array.
 
     The LAPACK Users' Guide (sections 4.7 and 4.9) bounds the error of every
     computed eigenvalue of a Hermitian matrix, and of every singular value, by
@@ -51,7 +52,7 @@ def error_bound(a) -> float:
     (>= ||a||_2) keeps the bound safe.
     """
     m = np.asarray(a)
-    return max(m.shape) * np.finfo(float).eps * float(np.linalg.norm(m, axis=(-2, -1)))
+    return max(m.shape[-2:]) * np.finfo(float).eps * np.linalg.norm(m, axis=(-2, -1))
 
 
 def hermitian_defect(a):

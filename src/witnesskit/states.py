@@ -374,8 +374,10 @@ def state_to_dict(rho: DensityMatrix) -> dict:
 def state_from_dict(payload: dict) -> DensityMatrix:
     """Parse and validate the shared JSON form.
 
-    Rejects wrong entry counts, non-finite numbers, unknown orderings, and
-    states failing the physics invariants (all violations listed).
+    Rejects, with a FormatError naming the field (and the index of a bad
+    entry), an ``entries`` that is not a list, wrong entry counts, entries
+    that are not pairs of finite numbers, unknown orderings, and states
+    failing the physics invariants (all violations listed).
     """
     try:
         dims = BipartiteDims(int(payload["dim_h"]), int(payload["dim_k"]))
@@ -386,6 +388,10 @@ def state_from_dict(payload: dict) -> DensityMatrix:
     if ordering not in ORDERINGS:
         raise FormatError(f"field 'ordering' must be one of {ORDERINGS}, got {ordering!r}")
     D = dims.order
+    if not isinstance(entries, (list, tuple)):
+        raise FormatError(
+            f"field 'entries' must be a list of [re, im] pairs, got {type(entries).__name__}"
+        )
     if len(entries) != D * D:
         raise FormatError(
             f"field 'entries' must have {D * D} [re, im] pairs, got {len(entries)}"
@@ -394,7 +400,10 @@ def state_from_dict(payload: dict) -> DensityMatrix:
     for idx, pair in enumerate(entries):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise FormatError(f"entries[{idx}] is not an [re, im] pair")
-        re, im = float(pair[0]), float(pair[1])
+        try:
+            re, im = float(pair[0]), float(pair[1])
+        except (TypeError, ValueError):
+            raise FormatError(f"entries[{idx}] is not a pair of numbers: {pair!r}") from None
         if not (np.isfinite(re) and np.isfinite(im)):
             raise FormatError(f"entries[{idx}] is not finite")
         flat[idx] = complex(re, im)

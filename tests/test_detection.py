@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import itertools
 import json
 import os
@@ -12,7 +12,6 @@ import pytest
 from witnesskit import (
     BipartiteDims,
     DensityMatrix,
-    DetectConfig,
     H_MAJOR,
     K_MAJOR,
     Permutation,
@@ -345,10 +344,6 @@ def test_entry_sweep_rows_match_single_state_search(dh, dk, ordering):
     assert 0 < fired < len(rhos) * (min(dh, dk) - 1)
 
 
-def _untimed(report):
-    return dataclasses.replace(report, timings_ms={})
-
-
 def test_scan_criteria_rows_and_input_checks(monkeypatch):
     rhos = [_stack_state(3, 4, 340 + s, K_MAJOR) for s in range(6)]
     reports = detection.scan_criteria(rhos)
@@ -358,11 +353,10 @@ def test_scan_criteria_rows_and_input_checks(monkeypatch):
         certs = [c for c in (entry_search(rho, n) for n in (2, 3)) if c is not None]
         assert rep.entry_best == (min(certs, key=lambda c: c.value) if certs else None)
         assert rep.distill_best is None
-        assert set(rep.timings_ms) == {"ppt", "ccnr", "entry"}
     assert {rep.entry_best is None for rep in reports} == {True, False}
     # a list longer than one block runs block by block, with the same rows
     monkeypatch.setattr(detection, "_SCAN_BLOCK", 4)
-    assert [_untimed(r) for r in detection.scan_criteria(rhos)] == [_untimed(r) for r in reports]
+    assert detection.scan_criteria(rhos) == reports
     assert detection.scan_criteria([]) == []
     with pytest.raises(ValueError, match="one dims"):
         detection.scan_criteria([rhos[0], _stack_state(3, 3, 1, K_MAJOR)])
@@ -413,6 +407,36 @@ def test_scan_criteria_ccnr_bound_uses_each_states_trace():
     assert [r.fired for r in reports] == [(), ()]
 
 
+def _werner(lam):
+    # p |psi-><psi-| + (1 - p) I/4 with lambda_min(rho^Gamma) = (1 - 3p)/4 = lam
+    p = (1 - 4 * lam) / 3
+    psi = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
+    return DensityMatrix(D22, H_MAJOR, p * np.outer(psi, psi) + (1 - p) * np.eye(4) / 4)
+
+
+@pytest.mark.parametrize("lam", [-3e-10, -8e-10, -2e-9])
+def test_ppt_fires_wherever_distill_fires(lam):
+    # PPT and distill share one fire rule, and distill runs only where PPT
+    # fired
+    rep = detect(_werner(lam))
+    assert abs(rep.ppt_min_eig - lam) < 1e-15
+    assert "distill" in rep.fired and "ppt" in rep.fired
+    assert rep.distill_best.value < 2 * lam + 1e-15
+
+
+def test_distill_does_not_run_where_ppt_is_silent(monkeypatch):
+    calls = []
+    monkeypatch.setattr(detection, "distill_search", lambda rho: calls.append(rho))
+    for rho in (_werner(2e-2), example_34(*P34), _slack_3x3(9e-10)):
+        rep = detect(rho)
+        assert "ppt" not in rep.fired and rep.distill_best is None
+    assert calls == []
+
+
+def test_detect_takes_a_state_and_nothing_else():
+    assert list(inspect.signature(detect).parameters) == ["rho"]
+
+
 @pytest.mark.parametrize("ordering", [H_MAJOR, K_MAJOR])
 @pytest.mark.parametrize("dh, dk", [(2, 3), (3, 2), (3, 3), (4, 4)])
 def test_scan_criteria_reports_equal_detect(dh, dk, ordering):
@@ -421,7 +445,7 @@ def test_scan_criteria_reports_equal_detect(dh, dk, ordering):
     rhos[-1] = reorder(rhos[-1], ordering)
     seen = set()
     for rho, rep in zip(rhos, detection.scan_criteria(rhos)):
-        one = detect(rho, DetectConfig(n_cap=min(dh, dk)))
+        one = detect(rho)
         assert rep.ppt_min_eig == one.ppt_min_eig and rep.ccnr_norm == one.ccnr_norm
         assert rep.entry_best == one.entry_best
         assert rep.distill_best is None
@@ -593,8 +617,6 @@ def test_distill_restarts_out_of_range(restarts):
     rho = maximally_entangled(2, D22)
     with pytest.raises(ValueError, match="restarts must be an integer in 1..1000"):
         distill_search(rho, restarts=restarts)
-    with pytest.raises(ValueError, match="distill_restarts must be an integer in 1..1000"):
-        DetectConfig(distill_restarts=restarts)
 
 
 def test_distill_finds_noisy_pure_states():
@@ -659,14 +681,6 @@ def test_detect_silent_on_low_rank_separables(dh, dk, terms):
         assert rep.verdict == "undetected", (seed, rep.fired, rep.ccnr_norm)
 
 
-def test_detect_respects_n_cap():
-    # capping the block size below 4 hides the only firing criterion of the
-    # 16x16 family point
-    rep = detect(example_35(*P35), DetectConfig(n_cap=3))
-    assert rep.entry_best is None
-    assert rep.verdict == "undetected"
-
-
 def test_detect_entry_search_is_exact_up_to_n_cap_8():
     # a maximally entangled vector on 8 (x) 8 mixed with noise: block n
     # scores about -0.9 n / 8 + 0.1 n (n - 1) / 64, lowest at n = 8
@@ -678,17 +692,15 @@ def test_detect_entry_search_is_exact_up_to_n_cap_8():
     m = 0.9 * np.outer(v, v) + 0.1 * (0.5 * np.eye(64) / 64 + 0.5 * noise / np.trace(noise).real)
     rho = DensityMatrix(BipartiteDims(8, 8), H_MAJOR, m)
     certs = {n: entry_search(rho, n, mode="exact") for n in range(2, 9)}
-    for n_cap in (7, 8):
-        rep = detect(rho, DetectConfig(n_cap=n_cap, distill_restarts=1))
-        fired = [c for n, c in certs.items() if n <= n_cap and c is not None]
-        assert rep.entry_best == min(fired, key=lambda c: c.value)
-        assert rep.entry_best.n == n_cap
-
-
-@pytest.mark.parametrize("n_cap", [1, 9, 2.0])
-def test_detect_config_rejects_n_cap_outside_exact_range(n_cap):
-    with pytest.raises(ValueError, match=r"n_cap must be an integer in 2\.\.8"):
-        DetectConfig(n_cap=n_cap)
+    assert all(c is not None for c in certs.values())
+    # scan_criteria searches n = 2..8, detect n = 2..DETECT_MAX_N = 6
+    (scanned,) = detection.scan_criteria([rho])
+    assert scanned.entry_best == min(certs.values(), key=lambda c: c.value)
+    assert scanned.entry_best.n == 8
+    rep = detect(rho)
+    assert detection.DETECT_MAX_N == 6
+    assert rep.entry_best == min((certs[n] for n in range(2, 7)), key=lambda c: c.value)
+    assert rep.entry_best.n == 6
 
 
 def test_import_is_lazy_and_scipy_free():
@@ -715,7 +727,9 @@ def test_report_to_dict_is_json_ready():
     cert = payload["entry_certificate"]
     assert cert["n"] == 3 and cert["k_indices"] == [1, 5, 9]
     assert cert["witness"]["type"] == "kps"
-    assert set(payload["timings_ms"]) == {"ppt", "ccnr", "entry", "distill"}
+    # results only: no wall-clock telemetry, so equal input gives equal JSON
+    assert set(payload) == {"verdict", "ppt_min_eig", "ccnr_trace_norm", "entry_certificate",
+                            "distill_certificate", "fired"}
     json.dumps(payload)  # round-trips through the serializer without help
 
 

@@ -128,6 +128,11 @@ def test_error_bound_is_order_eps_frobenius():
     eps = np.finfo(float).eps
     assert numkit.error_bound(a) == pytest.approx(5 * eps * np.linalg.norm(a), rel=1e-12)
     assert numkit.error_bound(np.ones((3, 7))) == pytest.approx(7 * eps * np.sqrt(21.0), rel=1e-12)
+    # one bound per matrix of a stack, each equal to the single-matrix bound
+    stack = np.stack([a, 3 * a, np.zeros((5, 5))])
+    bounds = numkit.error_bound(stack)
+    assert bounds.shape == (3,)
+    assert bounds.tolist() == [numkit.error_bound(m) for m in stack]
 
 
 def test_hermitian_defect_is_relative_to_max_modulus():
