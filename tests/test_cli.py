@@ -221,16 +221,31 @@ def test_detect_sound_inside_validation_slack_7x7(tmp_path, capsys, eps):
     assert payload["verdict"] == "undetected", payload["fired"]
 
 
+def _assert_unrecognized(e34_file, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run(["detect", str(e34_file), flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_detect_exact_max_flag_is_gone(e34_file, capsys):
     # detect takes the state and output options only
     for flag, value in (("--exact-max", "6"), ("--n-cap", "6"), ("--restarts", "20"),
                         ("--seed", "0")):
-        with pytest.raises(SystemExit) as exc:
-            run(["detect", str(e34_file), flag, value])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert f"unrecognized arguments: {flag} {value}" in captured.err
-        assert captured.out == ""
+        _assert_unrecognized(e34_file, capsys, flag, value)
+
+
+def test_detect_n_cap_above_exact_bound_exits_2(e34_file, capsys):
+    # --n-cap is gone: any value, in range or not, is a usage error
+    _assert_unrecognized(e34_file, capsys, "--n-cap", "9")
+
+
+@pytest.mark.parametrize("restarts", ["0", "-1", "1001"])
+def test_detect_restarts_out_of_range_exits_2(e34_file, capsys, restarts):
+    # --restarts is gone: any value, in range or not, is a usage error
+    _assert_unrecognized(e34_file, capsys, "--restarts", restarts)
 
 
 def _cli_process(args, stdin, optimize=False):
